@@ -1,5 +1,5 @@
 // ENGINE — serving-layer bench: 64 COUNT queries at n=400, epoch-batched
-// through vmat::Engine versus 64 sequential QueryEngine::count_until_answered
+// through vmat::Engine versus 64 sequential VmatCoordinator::execute()
 // calls (each of which pays a full announcement + tree formation).
 //
 // Reports, per repeat: wall-clock for both paths, fabric bytes for both
@@ -19,7 +19,8 @@
 #include <string>
 #include <vector>
 
-#include "core/query.h"
+#include "core/coordinator.h"
+#include "core/synopsis.h"
 #include "engine/engine.h"
 #include "sim/network.h"
 #include "trial_runner.h"
@@ -53,6 +54,33 @@ std::vector<std::vector<std::uint8_t>> make_predicates(std::uint32_t n,
       predicates[q][id] = id % queries >= q ? 1 : 0;
   }
   return predicates;
+}
+
+/// One standalone COUNT: a fresh SynopsisCodec over a full
+/// VmatCoordinator::execute() (announcement + tree formation + query
+/// phases). Adds the execution's fabric bytes to `bytes`; returns the
+/// estimate, or -1 when the execution was disrupted.
+double sequential_count(vmat::VmatCoordinator& coordinator,
+                        const std::vector<std::uint8_t>& predicate,
+                        std::uint64_t& bytes) {
+  const std::uint32_t instances = coordinator.config().instances;
+  const std::size_t n = predicate.size();
+  const vmat::SynopsisCodec codec(coordinator.fresh_nonce());
+  std::vector<std::vector<vmat::Reading>> values(
+      n, std::vector<vmat::Reading>(instances, vmat::kInfinity));
+  std::vector<std::vector<std::int64_t>> weights(
+      n, std::vector<std::int64_t>(instances, 0));
+  for (std::size_t id = 1; id < n; ++id) {
+    if (predicate[id] == 0) continue;
+    codec.fill_values(vmat::NodeId{static_cast<std::uint32_t>(id)}, 1,
+                      values[id]);
+    weights[id].assign(instances, 1);
+  }
+  const vmat::ExecutionOutcome out = coordinator.execute(
+      values, weights,
+      [&codec](const vmat::AggMessage& m) { return codec.consistent(m); });
+  bytes += out.fabric_bytes;
+  return out.produced_result() ? vmat::estimate_sum(out.minima) : -1.0;
 }
 
 }  // namespace
@@ -113,16 +141,13 @@ int main() {
       [&](std::size_t t, vmat::Rng&) {
         vmat::Network net(topo, bench_keys(n));
         vmat::VmatCoordinator coordinator(&net, nullptr, cfg);
-        vmat::QueryEngine engine(&coordinator);
         std::uint64_t bytes = 0;
         std::vector<double> estimates;
         estimates.reserve(queries);
         const auto start = std::chrono::steady_clock::now();
-        for (std::size_t q = 0; q < queries; ++q) {
-          const auto out = engine.count_until_answered(predicates[q]);
-          bytes += out.exec.fabric_bytes;
-          estimates.push_back(out.estimate.value_or(-1.0));
-        }
+        for (std::size_t q = 0; q < queries; ++q)
+          estimates.push_back(
+              sequential_count(coordinator, predicates[q], bytes));
         seq_ms[t] = ms_since(start);
         seq_bytes = bytes;
         seq_estimates = std::move(estimates);

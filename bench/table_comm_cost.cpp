@@ -13,7 +13,7 @@
 
 #include "baseline/send_all.h"
 #include "core/coordinator.h"
-#include "core/query.h"
+#include "engine/engine.h"
 #include "sim/fabric.h"
 #include "sim/network.h"
 #include "util/stats.h"
@@ -76,10 +76,12 @@ int main() {
       vmat::CoordinatorSpec cfg;
       cfg.instances = kInstances;
       vmat::VmatCoordinator coordinator(&net, nullptr, cfg);
-      vmat::QueryEngine queries(&coordinator);
-      std::vector<std::uint8_t> predicate(n, 1);
-      predicate[0] = 0;
-      (void)queries.count(predicate);
+      vmat::EngineQuery count;
+      count.kind = vmat::EngineQueryKind::kCount;
+      count.predicate.assign(n, 1);
+      count.predicate[0] = 0;
+      vmat::Engine engine(&coordinator);
+      (void)engine.run_batch({std::move(count)});
       std::uint64_t vmat_hottest = 0;
       for (std::uint32_t id = 1; id < n; ++id) {
         const auto node_bytes = net.fabric().bytes_sent(vmat::NodeId{id}) +

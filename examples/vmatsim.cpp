@@ -8,8 +8,10 @@
 //           [--campaign P] [--corpus FILE] [--replay FILE]
 //           [--daemon] [--tenants N] [--adversary-tenants A] [--socket PATH]
 //
-// Default mode runs E one-shot query executions against the configured
-// adversary and reports each outcome plus the final revocation state.
+// Default mode runs E query executions against the configured adversary
+// and reports each outcome plus the final revocation state: --query min
+// runs VmatCoordinator::run_min, --query count submits one COUNT per step
+// to an epoch-batched Engine with a one-execution budget.
 // --serve Q instead submits Q queries (COUNT / SUM / AVERAGE / MIN / MAX /
 // quantile, round-robin) to the epoch-batched serving engine and reports
 // per-query results, engine stats, and per-epoch rollups. With --trace,
@@ -24,7 +26,9 @@
 // existing corpus (if the file exists) and writes the found corpus back;
 // --trace exports the worst probe's event stream. --replay FILE instead
 // re-executes every corpus entry and verifies its outcome digest — the
-// regression mode the committed corpus runs under ctest.
+// regression mode the committed corpus runs under ctest; --trace,
+// --corpus and --campaign are rejected there, since a replay reads none
+// of them.
 //
 // --daemon starts vmatd: N independent tenants served over the frame
 // protocol (src/serve/protocol.h) on stdin/stdout, or on a Unix socket
@@ -157,6 +161,22 @@ Options parse(int argc, char** argv) {
     else if (flag == "--adversary-tenants") o.adversary_tenants = parse_size("--adversary-tenants", value());
     else if (flag == "--socket") o.socket_path = value();
     else usage(argv[0]);
+  }
+  if (o.query != "min" && o.query != "count") {
+    std::fprintf(stderr, "vmatsim: --query: expected min or count, got '%s'\n",
+                 o.query.c_str());
+    std::exit(2);
+  }
+  if (!o.replay.empty()) {
+    const char* unused = !o.trace.empty()    ? "--trace"
+                         : !o.corpus.empty() ? "--corpus"
+                         : o.campaign > 0    ? "--campaign"
+                                             : nullptr;
+    if (unused != nullptr) {
+      std::fprintf(stderr, "vmatsim: %s has no effect with --replay\n",
+                   unused);
+      std::exit(2);
+    }
   }
   if (o.adversary_tenants > o.tenants) {
     std::fprintf(stderr,
@@ -354,6 +374,38 @@ int run_serving_mode(const Options& o, vmat::VmatCoordinator& coordinator,
         static_cast<unsigned long long>(epoch.queries_served),
         static_cast<double>(epoch.fabric_bytes) / 1024.0);
   return stats.queries_failed == 0 ? 0 : 1;
+}
+
+/// --query count: one Engine for the whole run. Each step submits one
+/// COUNT with a one-execution budget and prints the estimate, or else the
+/// typed error plus the keys and sensors the revocation registry gained in
+/// that step.
+void run_count_steps(const Options& o, vmat::VmatCoordinator& coordinator,
+                     const std::vector<std::uint8_t>& predicate, int& answered,
+                     int& disrupted) {
+  const vmat::RevocationRegistry& registry =
+      coordinator.network().revocation();
+  vmat::Engine engine(&coordinator);
+  vmat::EngineQuery count;
+  count.kind = vmat::EngineQueryKind::kCount;
+  count.predicate = predicate;
+  count.max_executions = 1;
+  for (int e = 1; e <= o.executions; ++e) {
+    const std::size_t keys_before = registry.revoked_key_count();
+    const std::size_t sensors_before =
+        registry.revoked_sensors_in_order().size();
+    const vmat::EngineResult r = engine.run_batch({count}).front();
+    if (r.answered()) {
+      ++answered;
+      std::printf("exec %3d: COUNT ~= %.1f\n", e, *r.estimate);
+    } else {
+      ++disrupted;
+      std::printf("exec %3d: %s -> revoked %zu keys, %zu sensors\n", e,
+                  r.error.has_value() ? r.error->to_string().c_str() : "?",
+                  registry.revoked_key_count() - keys_before,
+                  registry.revoked_sensors_in_order().size() - sensors_before);
+    }
+  }
 }
 
 /// --campaign: the coverage-guided strategy fuzzer. Deterministic for a
@@ -571,24 +623,11 @@ int main(int argc, char** argv) {
   if (o.serve > 0) {
     serve_status = run_serving_mode(o, coordinator, readings, predicate);
   } else {
-    vmat::QueryEngine queries(&coordinator);
     int answered = 0, disrupted = 0;
-    for (int e = 1; e <= o.executions; ++e) {
-      if (o.query == "count") {
-        const auto out = queries.count(predicate);
-        if (out.answered()) {
-          ++answered;
-          std::printf("exec %3d: COUNT ~= %.1f\n", e, *out.estimate);
-        } else {
-          ++disrupted;
-          std::printf("exec %3d: disrupted (%s) -> revoked %zu keys, %zu "
-                      "sensors [%s]\n",
-                      e, vmat::to_string(out.exec.trigger),
-                      out.exec.revoked_keys.size(),
-                      out.exec.revoked_sensors.size(),
-                      out.exec.reason.c_str());
-        }
-      } else {
+    if (o.query == "count") {
+      run_count_steps(o, coordinator, predicate, answered, disrupted);
+    } else {
+      for (int e = 1; e <= o.executions; ++e) {
         const auto out = coordinator.run_min(readings);
         if (out.produced_result()) {
           ++answered;
@@ -598,8 +637,9 @@ int main(int argc, char** argv) {
           ++disrupted;
           std::printf("exec %3d: disrupted (%s) -> revoked %zu keys, %zu "
                       "sensors [%s]\n",
-                      e, vmat::to_string(out.trigger), out.revoked_keys.size(),
-                      out.revoked_sensors.size(), out.reason.c_str());
+                      e, vmat::to_string(out.trigger),
+                      out.revoked_keys.size(), out.revoked_sensors.size(),
+                      out.reason.c_str());
         }
       }
     }

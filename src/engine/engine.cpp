@@ -315,6 +315,17 @@ void Engine::run_round() {
 
   stats_.executions += 1;
   stats_.fabric_bytes += exec.fabric_bytes;
+  // prepare() opens a rollup only for an epoch it forms or re-arms; an
+  // epoch formed outside this engine (another engine on the coordinator,
+  // a direct prepare_epoch()) gets one here, with zero formation cost.
+  // Every formation or re-arm takes a larger epoch id, so the serving
+  // epoch's rollup, when this engine has one, is the last.
+  const std::uint64_t epoch_id = coordinator_->epoch().id;
+  if (epochs_.empty() || epochs_.back().epoch_id != epoch_id) {
+    EpochRollup opened;
+    opened.epoch_id = epoch_id;
+    epochs_.push_back(std::move(opened));
+  }
   EpochRollup& rollup = epochs_.back();
   rollup.executions += 1;
   rollup.fabric_bytes += exec.fabric_bytes;

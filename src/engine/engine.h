@@ -1,23 +1,25 @@
-// Epoch-batched query serving engine — the multi-query layer above
-// VmatCoordinator/QueryEngine.
+// Epoch-batched query serving engine — the one query API above
+// VmatCoordinator.
 //
-// QueryEngine runs one query per VMAT execution, and every execution pays
-// for an authenticated announcement plus a full tree formation. The Engine
-// amortizes that: queries are submitted into a queue, and each serving
-// round packs up to max_in_flight of them into ONE wide execution over the
-// current *epoch* — a tree formed once by prepare_epoch() and shared until
-// a revocation (or rekey) invalidates it. The combined execution's
-// instance space is the concatenation of per-query blocks; every synopsis
-// block keeps its own query nonce and SynopsisCodec, so each query's
-// synopses are exactly what a standalone execution would use and the
-// per-execution security argument (Theorem 2 / Theorem 7) is unchanged —
-// only the formation cost is shared.
+// COUNT/SUM/AVERAGE become synopsis MIN instances (Section VIII). A bare
+// VmatCoordinator::execute() pays for an authenticated announcement plus a
+// full tree formation per execution; the Engine amortizes that. Queries
+// are submitted into a queue (a one-shot query is a run_batch() of one),
+// and each serving round packs up to max_in_flight of them into ONE wide
+// execution over the current *epoch* — a tree formed once by
+// prepare_epoch() and shared until a revocation (or rekey) invalidates
+// it. The combined execution's instance space is the concatenation of
+// per-query blocks; every synopsis block keeps its own query nonce and
+// SynopsisCodec, so each query's synopses are exactly what a standalone
+// execution would use and the per-execution security argument (Theorem 2
+// / Theorem 7) is unchanged — only the formation cost is shared.
 //
 // Disruption handling is the Theorem 7 retry loop: a disrupted execution
 // revokes adversary key material, invalidates the epoch, and leaves the
 // packed queries queued. Each query carries an execution budget (its
-// deadline); the engine applies slow-start admission — after a disruption
-// the next round packs a single query (so one disruption burns one query's
+// deadline, EngineQuery::max_executions — the one retry budget); the
+// engine applies slow-start admission — after a disruption the next
+// round packs a single query (so one disruption burns one query's
 // attempt, not the whole batch's), and the window doubles per clean round
 // back up to max_in_flight — plus a nominal exponential backoff counter
 // (EngineStats::backoff) a deployment would sleep between rounds.
@@ -33,7 +35,6 @@
 #include <vector>
 
 #include "core/coordinator.h"
-#include "core/query.h"
 #include "util/error.h"
 #include "util/parallel.h"
 
@@ -193,7 +194,10 @@ class Engine {
   }
   [[nodiscard]] const EngineConfig& config() const noexcept { return config_; }
   [[nodiscard]] const EngineStats& stats() const noexcept { return stats_; }
-  /// One rollup per epoch formed by this engine, in formation order.
+  /// One rollup per epoch this engine formed, re-armed or served on, in
+  /// epoch order. An epoch formed outside the engine (another engine on
+  /// the same coordinator, a direct prepare_epoch()) has zero formation
+  /// cost in its rollup.
   [[nodiscard]] const std::vector<EpochRollup>& epoch_rollups() const noexcept {
     return epochs_;
   }

@@ -22,7 +22,10 @@ enum class ErrorCode : std::uint8_t {
   kQueueFull,          ///< engine admission control rejected the submission
   kDeadlineExceeded,   ///< per-query attempt budget exhausted (engine)
   kBudgetExhausted,    ///< engine-wide round budget exhausted
-  kDisrupted,          ///< execution ended in revocation, not a result
+  /// Execution ended in revocation, not a result. No longer produced (the
+  /// engine reports kDeadlineExceeded); kept because error codes travel on
+  /// the serve wire by value, so removing it would renumber kUnavailable.
+  kDisrupted,
   kUnavailable,        ///< no data: e.g. MIN over an empty population
 };
 

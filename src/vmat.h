@@ -1,7 +1,7 @@
 // Umbrella header: the full public API of the VMAT library.
 //
 // Quickstart — one SimulationSpec describes the whole deployment, and the
-// epoch-batched Engine serves query batches over shared tree formations
+// epoch-batched Engine serves every query over shared tree formations
 // (see examples/quickstart.cpp and examples/vmatsim.cpp --serve):
 //
 //   vmat::SimulationSpec spec;
@@ -9,11 +9,9 @@
 //   vmat::Network net(spec);
 //   vmat::VmatCoordinator coordinator(&net, /*adversary=*/nullptr, spec);
 //
-//   // One-shot queries (one tree formation per execution):
-//   vmat::QueryEngine queries(&coordinator);
-//   auto outcome = queries.count(predicate_bits);
-//
-//   // Batched serving (one tree formation per epoch, shared by a batch):
+//   // One tree formation per epoch, shared by the whole batch; a one-shot
+//   // query is a batch of one. EngineQuery::max_executions bounds the
+//   // Theorem 7 retries.
 //   vmat::Engine engine(&coordinator);
 //   auto results = engine.run_batch(std::move(batch));
 //
@@ -26,9 +24,7 @@
 #include "attack/adversary.h"        // IWYU pragma: export
 #include "attack/composite.h"        // IWYU pragma: export
 #include "attack/strategies.h"       // IWYU pragma: export
-#include "baseline/alarm_only.h"     // IWYU pragma: export
 #include "baseline/sampling.h"       // IWYU pragma: export
-#include "baseline/set_sampling.h"   // IWYU pragma: export
 #include "baseline/send_all.h"       // IWYU pragma: export
 #include "baseline/tag.h"            // IWYU pragma: export
 #include "broadcast/auth_broadcast.h"  // IWYU pragma: export
@@ -41,10 +37,8 @@
 #include "core/confirmation.h"       // IWYU pragma: export
 #include "core/coordinator.h"        // IWYU pragma: export
 #include "core/messages.h"           // IWYU pragma: export
-#include "core/monitor.h"            // IWYU pragma: export
 #include "core/pinpoint.h"           // IWYU pragma: export
 #include "core/predicate_test.h"     // IWYU pragma: export
-#include "core/query.h"              // IWYU pragma: export
 #include "core/report.h"             // IWYU pragma: export
 #include "core/synopsis.h"           // IWYU pragma: export
 #include "core/tree_formation.h"     // IWYU pragma: export

@@ -7,6 +7,7 @@
 #include "attack/adversary.h"
 #include "attack/strategies.h"
 #include "core/coordinator.h"
+#include "engine/engine.h"
 #include "sim/network.h"
 
 namespace vmat::testing {
@@ -31,6 +32,17 @@ inline std::vector<Reading> default_readings(std::uint32_t n) {
   for (std::uint32_t i = 0; i < n; ++i)
     readings[i] = 100 + static_cast<Reading>(i);
   return readings;
+}
+
+/// A COUNT over `predicate` that may take up to `max_executions`
+/// executions (the Theorem 7 retry budget) before it fails.
+inline EngineQuery count_query(std::vector<std::uint8_t> predicate,
+                               int max_executions) {
+  EngineQuery q;
+  q.kind = EngineQueryKind::kCount;
+  q.predicate = std::move(predicate);
+  q.max_executions = max_executions;
+  return q;
 }
 
 /// The correctness bound of Section III: the smallest reading among

@@ -1,11 +1,11 @@
-// Baseline comparator tests: TAG silently corrupts, alarm-only stalls
-// forever under a persistent attacker while VMAT recovers, set-sampling is
-// correct but pays Ω(log n) rounds, send-all pays linear bytes.
+// Baseline comparator tests: TAG silently corrupts, VMAT recovers from a
+// persistent attacker (detect-only SHIA stalls forever under one, see
+// test_shia.cpp), set-sampling is correct but pays Ω(log n) rounds,
+// send-all pays linear bytes.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
-#include "baseline/alarm_only.h"
 #include "baseline/sampling.h"
 #include "baseline/send_all.h"
 #include "baseline/tag.h"
@@ -51,30 +51,10 @@ TEST(Tag, ConstantRounds) {
   EXPECT_EQ(r.flooding_rounds, 2);
 }
 
-TEST(AlarmOnly, HonestRunProducesResult) {
-  Network net(Topology::grid(5, 5), dense_keys());
-  const auto r = run_alarm_only(net, nullptr, default_readings(25),
-                                net.physical_depth(), 1);
-  EXPECT_FALSE(r.alarmed);
-  ASSERT_TRUE(r.minimum.has_value());
-  EXPECT_EQ(*r.minimum, 101);
-}
-
-TEST(AlarmOnly, PersistentChokerStallsForever) {
-  const auto topo = Topology::grid(5, 5);
-  const auto malicious = choose_malicious(topo, 2, 3);
-  Network net(topo, dense_keys());
-  Adversary adv(&net, malicious,
-                std::make_unique<ChokeVetoStrategy>(LiePolicy::kDenyAll));
-  const auto campaign = run_alarm_only_campaign(
-      net, &adv, default_readings(25), topo.depth(malicious), 1,
-      /*max_attempts=*/25);
-  EXPECT_TRUE(campaign.stalled);
-  EXPECT_EQ(campaign.executions, 25);
-}
-
-TEST(AlarmOnly, VmatRecoversWhereAlarmOnlyStalls) {
-  // Same adversary family, same topology: VMAT's revocation converges.
+TEST(Vmat, RecoversFromPersistentChoker) {
+  // A persistent attacker stalls detect-only SHIA forever
+  // (Shia.PersistentAttackerStallsForever). A persistent choker cannot stall
+  // VMAT: each veto walk revokes its key material, so retries converge.
   const auto topo = Topology::grid(5, 5);
   const auto malicious = choose_malicious(topo, 2, 3);
   Network net(topo, dense_keys());

@@ -5,7 +5,6 @@
 
 #include "attack/composite.h"
 #include "core/coordinator.h"
-#include "core/query.h"
 #include "helpers.h"
 
 namespace vmat {
@@ -45,12 +44,13 @@ TEST(Garbage, NoiseDoesNotBreakSynopsisQueries) {
   cfg.instances = 40;
   cfg.depth_bound = topo.depth(malicious);
   VmatCoordinator coordinator(&net, &adv, cfg);
-  QueryEngine queries(&coordinator);
+  Engine engine(&coordinator);
   std::vector<std::uint8_t> predicate(25, 1);
   predicate[0] = 0;
   // Retries allowed (a dropped-by-absence minimum may veto), but it must
   // converge and stay sound.
-  const auto out = queries.count_until_answered(predicate, 200);
+  const auto out =
+      engine.run_batch({testing::count_query(predicate, 200)}).front();
   ASSERT_TRUE(out.answered());
   EXPECT_TRUE(revocations_sound(net, malicious));
 }

@@ -1,6 +1,8 @@
-// Serving-engine tests: epoch-batched execution, bit-identical results
-// across thread pools, epoch invalidation on revocation, deadlines and
-// slow-start/backoff under a choking adversary, and admission control.
+// Serving-engine tests: query semantics and argument edge cases,
+// epoch-batched execution, bit-identical results across thread pools,
+// epoch invalidation on revocation, deadlines and slow-start/backoff under
+// a choking adversary, the Theorem 7 loop against droppers and a synopsis
+// fabricator, epochs formed outside the engine, and admission control.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -143,6 +145,55 @@ TEST(Engine, QuantileViaBatchedCountProbes) {
   EXPECT_GT(fx.engine->stats().executions, 3u);
 }
 
+// Query-argument edge cases: an empty COUNT, a quantile over an all-zero
+// population, and the quantile arguments submit() must refuse.
+TEST(Query, CountZeroIsExact) {
+  EngineFixture fx(30);
+  EngineQuery q;  // nobody satisfies the predicate
+  q.kind = EngineQueryKind::kCount;
+  q.predicate.assign(kNodes, 0);
+  const auto results = fx.engine->run_batch({q});
+  ASSERT_EQ(results.size(), 1u);
+  ASSERT_TRUE(results[0].answered());
+  EXPECT_EQ(*results[0].estimate, 0.0);  // exact: no synopsis arrives
+}
+
+TEST(Query, QuantileOfEmptyPopulationIsZero) {
+  EngineFixture fx(10);
+  EngineQuery q;
+  q.kind = EngineQueryKind::kQuantile;
+  q.readings.assign(kNodes, 0);
+  q.q = 0.5;
+  q.domain_max = 16;
+  const auto results = fx.engine->run_batch({q});
+  ASSERT_EQ(results.size(), 1u);
+  ASSERT_TRUE(results[0].answered());
+  EXPECT_EQ(*results[0].estimate, 0.0);
+}
+
+TEST(Query, QuantileValidatesArguments) {
+  EngineFixture fx(10);
+  EngineQuery quantile;
+  quantile.kind = EngineQueryKind::kQuantile;
+  quantile.readings.assign(kNodes, 1);
+  quantile.q = 0.5;
+  quantile.domain_max = 10;
+  // q outside (0, 1), a domain the readings overflow, a negative domain,
+  // and a single reading outside [0, domain_max].
+  std::vector<EngineQuery> bad(5, quantile);
+  bad[0].q = 0.0;
+  bad[1].q = 1.0;
+  bad[2].domain_max = 0;
+  bad[3].domain_max = -1;
+  bad[4].readings[3] = 11;
+  for (EngineQuery& q : bad) {
+    const auto rejected = fx.engine->submit(std::move(q));
+    ASSERT_FALSE(rejected.has_value());
+    EXPECT_EQ(rejected.error().code, ErrorCode::kInvalidArgument);
+  }
+  EXPECT_TRUE(fx.engine->drain().empty());
+}
+
 TEST(Engine, EpochInvalidatedByRevocationAndRekey) {
   EngineFixture fx(1);
   (void)fx.coordinator->prepare_epoch();
@@ -233,6 +284,117 @@ TEST(Engine, DeadlineExceededUnderPersistentDisruption) {
   EXPECT_EQ(results[0].executions, 1);
   EXPECT_EQ(engine.stats().backoff, engine.config().backoff_base);
   EXPECT_EQ(engine.stats().window, 1u);
+}
+
+TEST(Engine, SilentDroppersAreWornDownWithinDeadline) {
+  // Theorem 7 through the engine: every disrupted execution revokes key
+  // material only the droppers hold, so the query answers within its
+  // execution budget.
+  const auto topo = Topology::grid(6, 6);
+  const auto malicious = choose_malicious(topo, 2, 5);
+  Network net(topo, dense_keys());
+  Adversary adv(&net, malicious,
+                std::make_unique<SilentDropStrategy>(LiePolicy::kDenyAll));
+  CoordinatorSpec cfg;
+  cfg.instances = 40;
+  cfg.depth_bound = topo.depth(malicious);
+  VmatCoordinator coordinator(&net, &adv, cfg);
+  Engine engine(&coordinator);
+
+  std::vector<std::uint8_t> predicate(kNodes, 0);
+  std::uint32_t honest_true = 0;
+  for (std::uint32_t id = 1; id < kNodes; ++id) {
+    if (malicious.contains(NodeId{id})) continue;
+    predicate[id] = 1;
+    ++honest_true;
+  }
+  const auto r =
+      engine.run_batch({testing::count_query(predicate, 600)}).front();
+  ASSERT_TRUE(r.answered());
+  EXPECT_NEAR(*r.estimate, static_cast<double>(honest_true),
+              honest_true * 0.45);
+  EXPECT_GT(engine.stats().disrupted_executions, 0u);
+  EXPECT_TRUE(testing::revocations_sound(net, malicious));
+}
+
+TEST(Engine, MaxUnderDropAttackIsNeverInflatedOrSilentlyLowered) {
+  const auto topo = Topology::grid(5, 5);
+  const auto malicious = choose_malicious(topo, 2, 4);
+  Network net(topo, dense_keys());
+  Adversary adv(&net, malicious,
+                std::make_unique<SilentDropStrategy>(LiePolicy::kDenyAll));
+  CoordinatorSpec cfg;
+  cfg.instances = 1;
+  cfg.depth_bound = topo.depth(malicious);
+  VmatCoordinator coordinator(&net, &adv, cfg);
+  Engine engine(&coordinator);
+
+  EngineQuery q;
+  q.kind = EngineQueryKind::kMax;
+  q.raw.assign(25, 10);
+  q.raw[0] = 0;
+  q.raw[24] = 99;
+  q.max_executions = 200;
+  const auto r = engine.run_batch({q}).front();
+  ASSERT_TRUE(r.answered()) << "never answered";
+  EXPECT_GT(engine.stats().disrupted_executions, 0u);
+  // A returned MAX covers every honest reading still in the network (drops
+  // are caught by the negated-min veto) and cannot exceed anything any
+  // sensor signed. Clean executions revoke nothing, so the registry now is
+  // the registry the answering execution ran under.
+  Reading honest_max = 0;
+  for (std::uint32_t id = 1; id < 25; ++id)
+    if (!malicious.contains(NodeId{id}) &&
+        !net.revocation().is_sensor_revoked(NodeId{id}))
+      honest_max = std::max(honest_max, q.raw[id]);
+  EXPECT_GE(*r.estimate, static_cast<double>(honest_max));
+  EXPECT_LE(*r.estimate, 99.0);
+}
+
+TEST(Engine, FabricatedSynopsisRevokesItsSigner) {
+  // A malicious sensor signs a synopsis that does not match its claimed
+  // weight: the base station detects it via the public PRG and revokes the
+  // signer outright (Section VIII anti-fabrication). With a one-execution
+  // budget the query fails on that execution.
+  class FabricateSynopsis final : public PolicyStrategy {
+   public:
+    FabricateSynopsis() : PolicyStrategy(LiePolicy::kDenyAll) {}
+    void on_agg_slot(AdversaryView& view, const AggCtx& ctx) override {
+      const NodeId m = *view.malicious().begin();
+      const Level level = ctx.tree->level[m.value];
+      if (level < 1 || ctx.slot != ctx.tree->depth_bound - level + 1) return;
+      // Claim weight 1 but report synopsis value 0 (smaller than any
+      // legitimate synopsis) with a *valid* sensor-key MAC.
+      AggMessage fake;
+      fake.origin = m;
+      fake.instance = 0;
+      fake.value = 0;
+      fake.weight = 1;
+      fake.mac = compute_mac(view.sensor_key(m),
+                             agg_mac_input(ctx.config->nonce, 0, 0, 1));
+      const Bytes frame = encode(AggBundle{{fake}});
+      for (const ParentLink& link : ctx.tree->parents[m.value])
+        (void)view.inject(m, link.claimed_id, m, link.edge_key, frame);
+    }
+  };
+
+  Network net(Topology::grid(6, 6), dense_keys());
+  Adversary adv(&net, {NodeId{8}}, std::make_unique<FabricateSynopsis>());
+  CoordinatorSpec cfg;
+  cfg.instances = 20;
+  cfg.depth_bound = net.topology().depth({NodeId{8}});
+  VmatCoordinator coordinator(&net, &adv, cfg);
+  Engine engine(&coordinator);
+
+  std::vector<std::uint8_t> predicate(kNodes, 1);
+  predicate[0] = 0;
+  const auto r = engine.run_batch({testing::count_query(predicate, 1)}).front();
+  EXPECT_FALSE(r.answered());
+  ASSERT_TRUE(r.error.has_value());
+  EXPECT_EQ(r.error->code, ErrorCode::kDeadlineExceeded);
+  EXPECT_EQ(engine.stats().disrupted_executions, 1u);
+  EXPECT_EQ(net.revocation().revoked_sensors_in_order(),
+            std::vector<NodeId>{NodeId{8}});
 }
 
 TEST(Engine, StepServesIncrementallyAndTakeReadyPreservesOrder) {
@@ -390,6 +552,54 @@ TEST(Engine, PrepareWarmsEpochAheadAndRearmsAfterOneShot) {
   ASSERT_EQ(results.size(), 1u);
   ASSERT_TRUE(results[0].answered());
   EXPECT_EQ(fx.engine->stats().epochs_formed, 1u);
+}
+
+TEST(Engine, SecondEngineServesOnAnotherEnginesEpoch) {
+  // Regression: a rollup used to be opened only when prepare() formed or
+  // re-armed the epoch, so an engine whose first round found the epoch
+  // already ready read epochs_.back() of an empty vector.
+  EngineFixture fx(20);
+  EngineQuery q;
+  q.kind = EngineQueryKind::kCount;
+  q.predicate.assign(kNodes, 1);
+  q.predicate[0] = 0;
+  ASSERT_TRUE(fx.engine->run_batch({q})[0].answered());
+  ASSERT_TRUE(fx.coordinator->epoch_ready());
+  const std::uint64_t epoch_id = fx.coordinator->epoch().id;
+
+  Engine second(fx.coordinator.get());
+  const auto results = second.run_batch({q});
+  ASSERT_EQ(results.size(), 1u);
+  ASSERT_TRUE(results[0].answered());
+  EXPECT_EQ(results[0].epoch_id, epoch_id);
+  EXPECT_EQ(second.stats().epochs_formed, 0u);
+  ASSERT_EQ(second.epoch_rollups().size(), 1u);
+  const EpochRollup& rollup = second.epoch_rollups().front();
+  EXPECT_EQ(rollup.epoch_id, epoch_id);
+  EXPECT_EQ(rollup.formation_rounds, 0);
+  EXPECT_EQ(rollup.formation_bytes, 0u);
+  EXPECT_EQ(rollup.executions, 1u);
+  EXPECT_EQ(rollup.queries_served, 1u);
+  EXPECT_EQ(rollup.fabric_bytes, second.stats().fabric_bytes);
+}
+
+TEST(Engine, ServesOnAnEpochPreparedOutsideTheEngine) {
+  // Same regression, reached through a direct prepare_epoch().
+  EngineFixture fx(20);
+  const std::uint64_t epoch_id = fx.coordinator->prepare_epoch().id;
+  EngineQuery q;
+  q.kind = EngineQueryKind::kMin;
+  q.raw = testing::default_readings(kNodes);
+  const auto results = fx.engine->run_batch({q});
+  ASSERT_EQ(results.size(), 1u);
+  ASSERT_TRUE(results[0].answered());
+  EXPECT_EQ(*results[0].estimate, 101.0);
+  EXPECT_EQ(results[0].epoch_id, epoch_id);
+  EXPECT_EQ(fx.engine->stats().epochs_formed, 0u);
+  ASSERT_EQ(fx.engine->epoch_rollups().size(), 1u);
+  EXPECT_EQ(fx.engine->epoch_rollups().front().epoch_id, epoch_id);
+  EXPECT_EQ(fx.engine->epoch_rollups().front().formation_bytes, 0u);
+  EXPECT_EQ(fx.engine->epoch_rollups().front().queries_served, 1u);
 }
 
 TEST(Engine, AdmissionControlRejectsOverflowAndBadPayloads) {

@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include "core/coordinator.h"
-#include "core/query.h"
 #include "helpers.h"
 
 namespace vmat {
@@ -71,10 +70,11 @@ TEST(Loss, SynopsisQueriesSurviveLoss) {
   CoordinatorSpec cfg;
   cfg.instances = 60;
   VmatCoordinator coordinator(&net, nullptr, cfg);
-  QueryEngine queries(&coordinator);
+  Engine engine(&coordinator);
   std::vector<std::uint8_t> predicate(36, 0);
   for (std::uint32_t id = 1; id <= 18; ++id) predicate[id] = 1;
-  const auto out = queries.count_until_answered(predicate, 50);
+  const auto out =
+      engine.run_batch({testing::count_query(predicate, 50)}).front();
   ASSERT_TRUE(out.answered());
   EXPECT_NEAR(*out.estimate, 18.0, 18.0 * 0.4);
 }

@@ -1,18 +1,19 @@
-// Theorem 7 property sweep for *synopsis* (COUNT) queries: the multi-
-// instance pipeline under every attack family must either answer within
-// the estimator's statistical bounds or soundly revoke, and always
-// converge. Complements the plain-MIN sweep in test_properties.cpp.
+// Theorem 7 property sweep for *synopsis* (COUNT) queries served through
+// the Engine: under every attack family, each execution must either answer
+// within the estimator's statistical bounds or soundly revoke, and the
+// query must converge within its execution budget. Complements the
+// plain-MIN sweep in test_properties.cpp.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <tuple>
 
-#include "core/query.h"
 #include "helpers.h"
 
 namespace vmat {
 namespace {
 
+using testing::count_query;
 using testing::dense_keys;
 using testing::revocations_sound;
 
@@ -63,7 +64,7 @@ TEST_P(SynopsisSweep, CountQueriesConvergeAndStaySound) {
   cfg.depth_bound = topo.depth(malicious);
   cfg.seed = seed;
   VmatCoordinator coordinator(&net, &adv, cfg);
-  QueryEngine queries(&coordinator);
+  Engine engine(&coordinator);
 
   std::vector<std::uint8_t> predicate(25, 0);
   std::uint32_t honest_true = 0;
@@ -71,25 +72,34 @@ TEST_P(SynopsisSweep, CountQueriesConvergeAndStaySound) {
     predicate[id] = 1;
     if (!malicious.contains(NodeId{id})) ++honest_true;
   }
+  ASSERT_TRUE(engine.submit(count_query(predicate, 500)).has_value());
 
-  for (int e = 0; e < 500; ++e) {
-    const QueryOutcome out = queries.count(predicate);
-    ASSERT_TRUE(revocations_sound(net, malicious))
-        << "seed " << seed << ": " << out.exec.reason;
-    if (!out.answered()) {
-      ASSERT_FALSE(out.exec.revoked_keys.empty() &&
-                   out.exec.revoked_sensors.empty())
-          << "disrupted but revoked nothing: " << out.exec.reason;
-      continue;
+  // One execution per step: every step stays sound, and a step that raised
+  // disrupted_executions revoked something.
+  const RevocationRegistry& registry = net.revocation();
+  std::uint64_t disrupted = 0;
+  std::size_t keys = 0, sensors = 0;
+  for (bool open = true; open;) {
+    open = engine.step();
+    ASSERT_TRUE(revocations_sound(net, malicious)) << "seed " << seed;
+    if (engine.stats().disrupted_executions > disrupted) {
+      ASSERT_TRUE(registry.revoked_key_count() > keys ||
+                  registry.revoked_sensors_in_order().size() > sensors)
+          << "seed " << seed << ": disrupted but revoked nothing";
     }
-    // Answered: within the 40-instance estimator's generous tail, against
-    // the population the adversary could legally shape (honest_true .. all
-    // 24 sensors self-reporting true).
-    EXPECT_GT(*out.estimate, honest_true * 0.35) << "seed " << seed;
-    EXPECT_LT(*out.estimate, 24 * 2.2) << "seed " << seed;
-    return;
+    disrupted = engine.stats().disrupted_executions;
+    keys = registry.revoked_key_count();
+    sensors = registry.revoked_sensors_in_order().size();
   }
-  FAIL() << "never answered within 500 executions";
+  const auto results = engine.take_ready();
+  ASSERT_EQ(results.size(), 1u);
+  ASSERT_TRUE(results[0].answered())
+      << "never answered within 500 executions";
+  // Answered: within the 40-instance estimator's generous tail, against
+  // the population the adversary could legally shape (honest_true .. all
+  // 24 sensors self-reporting true).
+  EXPECT_GT(*results[0].estimate, honest_true * 0.35) << "seed " << seed;
+  EXPECT_LT(*results[0].estimate, 24 * 2.2) << "seed " << seed;
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -114,10 +124,10 @@ TEST(SynopsisSweepLarge, GeometricNetworkFiveByzantines) {
   cfg.instances = 30;
   cfg.depth_bound = topo.depth(malicious);
   VmatCoordinator coordinator(&net, &adv, cfg);
-  QueryEngine queries(&coordinator);
+  Engine engine(&coordinator);
   std::vector<std::uint8_t> predicate(net.node_count(), 1);
   predicate[0] = 0;
-  const auto out = queries.count_until_answered(predicate, 500);
+  const auto out = engine.run_batch({count_query(predicate, 500)}).front();
   ASSERT_TRUE(out.answered());
   EXPECT_TRUE(revocations_sound(net, malicious));
   EXPECT_GT(*out.estimate, (net.node_count() - 6) * 0.3);

@@ -4,9 +4,10 @@
 Every header under src/ must compile standalone — `#include "the/header.h"`
 as the first line of an otherwise empty translation unit — so that the
 umbrella include order in src/vmat.h is never what makes a header build.
-This is the check that caught the duplicated baseline/set_sampling.h
-include: a header that only compiles because a sibling was included first
-is a latent breakage for every downstream user who includes it directly.
+It once caught a (since deleted) baseline header that compiled only
+through that order: a header that only compiles because a sibling was
+included first is a latent breakage for every downstream user who
+includes it directly.
 
 Each header is syntax-checked (`-fsyntax-only`) with the same language
 standard the build uses. Headers compile in parallel (one job per core by
