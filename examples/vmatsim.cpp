@@ -28,7 +28,9 @@
 // re-executes every corpus entry and verifies its outcome digest — the
 // regression mode the committed corpus runs under ctest; --trace,
 // --corpus and --campaign are rejected there, since a replay reads none
-// of them.
+// of them. --attack, --executions and --serve are rejected under both
+// --campaign and --replay: probes bring their own adversary and run one
+// execution each.
 //
 // --daemon starts vmatd: N independent tenants served over the frame
 // protocol (src/serve/protocol.h) on stdin/stdout, or on a Unix socket
@@ -45,6 +47,7 @@
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <set>
 #include <string>
 
 #include "attack/composite.h"
@@ -75,6 +78,9 @@ struct Options {
   std::uint32_t tenants = 8;
   std::uint32_t adversary_tenants = 0;
   std::string socket_path;  // empty = stdin/stdout
+  // Flags present on the command line: their defaults are legal values,
+  // so only this tells "--executions 25" from no --executions at all.
+  std::set<std::string> given;
 };
 
 [[noreturn]] void usage(const char* argv0) {
@@ -161,6 +167,7 @@ Options parse(int argc, char** argv) {
     else if (flag == "--adversary-tenants") o.adversary_tenants = parse_size("--adversary-tenants", value());
     else if (flag == "--socket") o.socket_path = value();
     else usage(argv[0]);
+    o.given.insert(flag);
   }
   if (o.query != "min" && o.query != "count") {
     std::fprintf(stderr, "vmatsim: --query: expected min or count, got '%s'\n",
@@ -175,6 +182,17 @@ Options parse(int argc, char** argv) {
     if (unused != nullptr) {
       std::fprintf(stderr, "vmatsim: %s has no effect with --replay\n",
                    unused);
+      std::exit(2);
+    }
+  }
+  if (o.campaign > 0 || !o.replay.empty()) {
+    // Campaign probes and replays place their own genome adversary and run
+    // one MIN execution per probe.
+    const char* mode = o.replay.empty() ? "--campaign" : "--replay";
+    for (const char* unused : {"--attack", "--executions", "--serve"}) {
+      if (!o.given.contains(unused)) continue;
+      std::fprintf(stderr, "vmatsim: %s has no effect with %s\n", unused,
+                   mode);
       std::exit(2);
     }
   }

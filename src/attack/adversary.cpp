@@ -1,5 +1,6 @@
 #include "attack/adversary.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace vmat {
@@ -15,10 +16,23 @@ AdversaryView::AdversaryView(Network* net, std::unordered_set<NodeId> malicious)
       throw std::out_of_range("AdversaryView: malicious id out of range");
 }
 
+std::span<const KeyIndex> AdversaryView::held_keys() const {
+  if (held_generation_ == net_->key_generation()) return held_keys_;
+  held_keys_.clear();
+  for (NodeId m : malicious_) {
+    const std::vector<KeyIndex> keys = net_->keys().keys_of(m);
+    held_keys_.insert(held_keys_.end(), keys.begin(), keys.end());
+  }
+  std::sort(held_keys_.begin(), held_keys_.end());
+  held_keys_.erase(std::unique(held_keys_.begin(), held_keys_.end()),
+                   held_keys_.end());
+  held_generation_ = net_->key_generation();
+  return held_keys_;
+}
+
 bool AdversaryView::holds_pool_key(KeyIndex key) const {
-  for (NodeId m : malicious_)
-    if (net_->keys().node_holds(m, key)) return true;
-  return false;
+  const std::span<const KeyIndex> held = held_keys();
+  return std::binary_search(held.begin(), held.end(), key);
 }
 
 SymmetricKey AdversaryView::pool_key(KeyIndex key) const {
@@ -49,15 +63,22 @@ bool AdversaryView::inject(NodeId via, NodeId to, NodeId claimed_from,
 }
 
 std::optional<KeyIndex> AdversaryView::attack_key_for(NodeId target) const {
-  std::optional<KeyIndex> best;
-  for (NodeId m : malicious_) {
-    for (KeyIndex k : net_->keys().keys_of(m)) {
-      if (!net_->keys().node_holds(target, k)) continue;
-      if (net_->revocation().is_key_revoked(k)) continue;
-      if (!best.has_value() || k < *best) best = k;
-      break;  // keys_of is sorted; first usable is smallest for m
-    }
+  const std::span<const KeyIndex> held = held_keys();
+  if (held.empty()) return std::nullopt;
+  const RevocationRegistry& revocation = net_->revocation();
+  // Both lists are sorted: merge the target's ring against the held set.
+  // Path keys index above the whole pool, so any shared ring key wins.
+  auto it = held.begin();
+  for (KeyIndex k : net_->keys().ring(target).indices()) {
+    it = std::lower_bound(it, held.end(), k);
+    if (it == held.end()) break;
+    if (*it == k && !revocation.is_key_revoked(k)) return k;
   }
+  std::optional<KeyIndex> best;
+  for (const auto& [peer, k] : net_->keys().path_keys_of(target))
+    if ((!best.has_value() || k < *best) && !revocation.is_key_revoked(k) &&
+        std::binary_search(held.begin(), held.end(), k))
+      best = k;
   return best;
 }
 

@@ -15,6 +15,7 @@
 
 #include <memory>
 #include <optional>
+#include <span>
 #include <unordered_set>
 #include <vector>
 
@@ -62,7 +63,8 @@ class AdversaryView {
     return malicious_.contains(node);
   }
 
-  /// Does any compromised ring contain this pool key?
+  /// Does any compromised sensor hold this key (ring key or path key)?
+  /// A binary search in held_keys().
   [[nodiscard]] bool holds_pool_key(KeyIndex key) const;
 
   /// Key material for a held pool key. Throws if not held — the type-level
@@ -79,8 +81,9 @@ class AdversaryView {
   bool inject(NodeId via, NodeId to, NodeId claimed_from, KeyIndex edge_key,
               const Bytes& payload);
 
-  /// A non-revoked pool key held by the adversary that `target` also holds
-  /// (so target will accept frames MAC'd with it), if any.
+  /// The smallest non-revoked key held by both the adversary and `target`
+  /// (so target will accept frames MAC'd with it), if any. Walks the
+  /// target's sorted ring against held_keys(), then its path keys.
   [[nodiscard]] std::optional<KeyIndex> attack_key_for(NodeId target) const;
 
   /// Malicious physical neighbors of `node`.
@@ -101,9 +104,18 @@ class AdversaryView {
                                            Interval slot) const;
 
  private:
+  /// Every key the adversary learned — the compromised sensors' rings and
+  /// path keys — sorted and deduplicated. Computed on first use and again
+  /// only when the network's key generation moves (rekey, path-key
+  /// establishment); the compromised set itself never changes. Lazily
+  /// filled, hence NOT thread-safe, like the strategy hooks that use it.
+  [[nodiscard]] std::span<const KeyIndex> held_keys() const;
+
   Network* net_;
   std::unordered_set<NodeId> malicious_;
   std::uint64_t round_{0};
+  mutable std::vector<KeyIndex> held_keys_;
+  mutable std::optional<std::uint64_t> held_generation_;
 };
 
 /// Read-only context handed to the tree-formation hook each slot.

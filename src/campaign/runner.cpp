@@ -108,6 +108,7 @@ CampaignRunner::CampaignRunner(CampaignConfig config)
     coordinator_ = std::make_unique<VmatCoordinator>(
         net_.get(), formation_adversary_.get(), spec_);
     snapshot_ = coordinator_->snapshot_after_formation();
+    snapshot_revocations_ = net_->revocation().events().size();
   }
 }
 
@@ -140,7 +141,8 @@ ProbeOutcome CampaignRunner::probe(const CampaignEntry& entry,
         coordinator_->resume_min(*snapshot_, readings);
     coordinator_->set_recorder(nullptr);
     coordinator_->set_adversary(formation_adversary_.get());
-    return probe_outcome(entry, outcome, recorder, *net_);
+    return probe_outcome(entry, outcome, recorder, *net_, adversary.view(),
+                         snapshot_revocations_);
   }
   // Scratch fallback: a private deployment per probe. Bit-identical to the
   // fork path (the snapshot contract: resume == the execute() that would
@@ -151,31 +153,32 @@ ProbeOutcome CampaignRunner::probe(const CampaignEntry& entry,
                           entry.policy, entry.when, entry.seed));
   VmatCoordinator coordinator(&net, &adversary, spec_);
   coordinator.set_recorder(&recorder);
+  const std::size_t first_event = net.revocation().events().size();
   const ExecutionOutcome outcome = coordinator.run_min(readings);
   scratch_formations_ += coordinator.formations_run();
-  return probe_outcome(entry, outcome, recorder, net);
+  return probe_outcome(entry, outcome, recorder, net, adversary.view(),
+                       first_event);
 }
 
 ProbeOutcome CampaignRunner::probe_outcome(const CampaignEntry& entry,
                                            const ExecutionOutcome& outcome,
                                            const FlightRecorder& recorder,
-                                           const Network& net) {
+                                           const Network& net,
+                                           const AdversaryView& adversary,
+                                           std::size_t first_event) {
   ProbeOutcome po;
   po.entry = entry;
   po.entry.digest = outcome_digest(outcome);
   po.ruined = !outcome.produced_result();
-  for (const KeyIndex key : outcome.revoked_keys) {
-    bool adversary_held = false;
-    for (const NodeId m : malicious_) {
-      if (!net.keys().node_holds(m, key)) continue;
-      adversary_held = true;
-      break;
-    }
-    if (adversary_held)
-      ++po.adversary_keys_revoked;
-    else
-      ++po.framed_keys;
-  }
+  // The registry logs each key once, when first revoked: pinpointed keys
+  // and ring-closure keys alike. outcome.revoked_keys holds only the
+  // pinpointed ones, so a probe that closes a compromised ring without
+  // pinpointing a key would otherwise count as revoking nothing.
+  const std::vector<RevocationEvent>& events = net.revocation().events();
+  for (std::size_t i = first_event; i < events.size(); ++i)
+    if (adversary.holds_pool_key(events[i].key)) ++po.adversary_keys_revoked;
+  for (const KeyIndex key : outcome.revoked_keys)
+    if (!adversary.holds_pool_key(key)) ++po.framed_keys;
   for (const NodeId sensor : outcome.revoked_sensors)
     if (!malicious_.contains(sensor)) ++po.honest_sensors_revoked;
   po.pinpoint_rounds = outcome.pinpoint_cost.flooding_rounds;

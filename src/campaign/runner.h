@@ -68,9 +68,10 @@ struct CampaignConfig {
 struct ProbeOutcome {
   CampaignEntry entry;
   bool ruined{false};
-  /// Adversary-held keys revoked by this probe.
+  /// Distinct adversary-held keys revoked by this probe: pinpointed keys
+  /// and the keys of every ring the probe closed alike.
   std::size_t adversary_keys_revoked{0};
-  /// Revoked keys NO malicious sensor holds — pure honest collateral.
+  /// Pinpointed keys NO malicious sensor holds — pure honest collateral.
   std::size_t framed_keys{0};
   /// Revoked sensors outside the malicious set (θ-cascade collateral).
   std::size_t honest_sensors_revoked{0};
@@ -136,10 +137,13 @@ class CampaignRunner {
  private:
   [[nodiscard]] ProbeOutcome probe(const CampaignEntry& entry,
                                    FlightRecorder& recorder);
+  /// `first_event` indexes the first registry event the probe added.
   [[nodiscard]] ProbeOutcome probe_outcome(const CampaignEntry& entry,
                                            const ExecutionOutcome& outcome,
                                            const FlightRecorder& recorder,
-                                           const Network& net);
+                                           const Network& net,
+                                           const AdversaryView& adversary,
+                                           std::size_t first_event);
   [[nodiscard]] CampaignEntry random_entry(Rng& rng) const;
   [[nodiscard]] AttackPredicate random_predicate(Rng& rng, int depth) const;
   [[nodiscard]] CampaignEntry mutate(const CampaignEntry& base,
@@ -158,6 +162,8 @@ class CampaignRunner {
   std::unique_ptr<Adversary> formation_adversary_;
   std::unique_ptr<VmatCoordinator> coordinator_;
   std::optional<Snapshot> snapshot_;
+  /// Registry events in snapshot_: a fork probe's own start after them.
+  std::size_t snapshot_revocations_{0};
   /// Formations run by scratch probes (their coordinators are transient).
   std::uint64_t scratch_formations_{0};
 };

@@ -56,7 +56,7 @@ KeyIndex PinpointEngine::find_edge_key(NodeId owner, Predicate probe,
                                        PinpointOutcome& out,
                                        const char* what) {
   PredicateTestEngine tests(net_, adversary_, audits_, &out.cost, mode_,
-                            tracer_);
+                            tracer_, &reach_);
   const KeySpec key = KeySpec::sensor_key(owner);
   // Honest sensors only ever use non-revoked keys, and re-revoking a key
   // would not diminish the adversary; the base station therefore searches
@@ -107,7 +107,7 @@ std::optional<NodeId> PinpointEngine::find_holder(KeyIndex edge_key,
                                                   PinpointOutcome& out,
                                                   const char* what) {
   PredicateTestEngine tests(net_, adversary_, audits_, &out.cost, mode_,
-                            tracer_);
+                            tracer_, &reach_);
   const KeySpec key = KeySpec::pool_key(edge_key);
   const auto holders = net_->keys().holders(edge_key);
   if (holders.empty()) {

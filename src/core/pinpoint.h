@@ -26,6 +26,10 @@
 // Guarantees (Lemmas 4-5, Theorem 6): every revoked key is held by some
 // malicious sensor; an honest sensor is never revoked; the walk terminates
 // after O(L) search phases of O(log n) predicate tests each.
+//
+// Cost: each test visits only the tested key's holders, and all tests of
+// one walk share a single reachability BFS (ReplyReach), so a walk costs
+// O(n + E) once plus O(holders) per test.
 #pragma once
 
 #include <string>
@@ -100,6 +104,9 @@ class PinpointEngine {
   const TreeResult* tree_;
   PredicateTestMode mode_;
   Tracer tracer_;
+  /// Shared by every test of the walk; each find_* call keeps its own
+  /// PredicateTestEngine so the per-engine nonce sequence is unchanged.
+  ReplyReach reach_;
 };
 
 }  // namespace vmat

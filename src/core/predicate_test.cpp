@@ -1,32 +1,58 @@
 #include "core/predicate_test.h"
 
-#include <deque>
 #include <stdexcept>
 
 namespace vmat {
 
+bool ReplyReach::reaches(const Network& net, const Adversary* adversary,
+                         std::span<const NodeId> repliers) {
+  if (repliers.empty()) return false;
+  const std::size_t revoked =
+      net.revocation().revoked_sensors_in_order().size();
+  if (revoked_sensors_ != revoked) {
+    // BFS from the base station over the active honest subgraph.
+    const std::uint32_t n = net.node_count();
+    const auto active = [&net, adversary](NodeId node) {
+      return !net.revocation().is_sensor_revoked(node) &&
+             !byzantine(adversary, node);
+    };
+    reached_.assign(n, false);
+    std::vector<NodeId> queue;
+    if (active(kBaseStation)) {
+      reached_[kBaseStation.value] = true;
+      queue.push_back(kBaseStation);
+    }
+    for (std::size_t head = 0; head < queue.size(); ++head) {
+      for (NodeId v : net.topology().neighbors(queue[head])) {
+        if (reached_[v.value] || !active(v)) continue;
+        reached_[v.value] = true;
+        queue.push_back(v);
+      }
+    }
+    revoked_sensors_ = revoked;
+  }
+  for (NodeId r : repliers) {
+    if (reached_[r.value]) return true;
+    for (NodeId v : net.topology().neighbors(r))
+      if (reached_[v.value]) return true;
+  }
+  return false;
+}
+
 PredicateTestEngine::PredicateTestEngine(Network* net, Adversary* adversary,
                                          const AuditLog* audits,
                                          CostMeter* meter,
-                                         PredicateTestMode mode, Tracer tracer)
+                                         PredicateTestMode mode, Tracer tracer,
+                                         ReplyReach* reach)
     : net_(net),
       adversary_(adversary),
       audits_(audits),
       meter_(meter),
       mode_(mode),
-      tracer_(tracer) {
+      tracer_(tracer),
+      shared_reach_(reach) {
   if (net == nullptr || audits == nullptr || meter == nullptr)
     throw std::invalid_argument("PredicateTestEngine: null dependency");
-}
-
-bool PredicateTestEngine::holder_is(const KeySpec& key, NodeId node) const {
-  switch (key.type) {
-    case KeySpec::Type::kSensorKey:
-      return node == key.sensor;
-    case KeySpec::Type::kPoolKey:
-      return net_->keys().node_holds(node, key.pool);
-  }
-  return false;
 }
 
 const MacContext& PredicateTestEngine::key_context(const KeySpec& key) const {
@@ -42,10 +68,8 @@ const MacContext& PredicateTestEngine::key_context(const KeySpec& key) const {
 std::vector<NodeId> PredicateTestEngine::collect_repliers(
     const KeySpec& key, const Predicate& predicate) {
   std::vector<NodeId> repliers;
-  for (std::uint32_t id = 0; id < net_->node_count(); ++id) {
-    const NodeId node{id};
-    if (!holder_is(key, node)) continue;
-    if (net_->revocation().is_sensor_revoked(node)) continue;
+  const auto consider = [&](NodeId node) {
+    if (net_->revocation().is_sensor_revoked(node)) return;
     if (byzantine(adversary_, node)) {
       if (adversary_->strategy().answer_predicate(adversary_->view(),
                                                   predicate, node))
@@ -53,45 +77,18 @@ std::vector<NodeId> PredicateTestEngine::collect_repliers(
     } else if (evaluate_predicate(predicate, node, *audits_)) {
       repliers.push_back(node);
     }
+  };
+  // Only the key's holders can answer. Holder lists are sorted by id, so
+  // the strategy sees its answer_predicate() calls in ascending-id order.
+  switch (key.type) {
+    case KeySpec::Type::kSensorKey:
+      if (key.sensor.value < net_->node_count()) consider(key.sensor);
+      break;
+    case KeySpec::Type::kPoolKey:
+      for (NodeId node : net_->keys().holders(key.pool)) consider(node);
+      break;
   }
   return repliers;
-}
-
-bool PredicateTestEngine::reaches_base_station(
-    const std::vector<NodeId>& repliers) const {
-  if (repliers.empty()) return false;
-  // Active honest sensors relay the (verifiable) reply; Byzantine sensors
-  // pessimistically never relay. BFS from the base station over the active
-  // honest subgraph; a replier succeeds if it is in that component (honest
-  // replier) or physically adjacent to it (Byzantine injector).
-  const std::uint32_t n = net_->node_count();
-  std::vector<bool> active(n, false);
-  for (std::uint32_t id = 0; id < n; ++id) {
-    const NodeId node{id};
-    active[id] = !net_->revocation().is_sensor_revoked(node) &&
-                 !byzantine(adversary_, node);
-  }
-  std::vector<bool> reached(n, false);
-  std::deque<NodeId> queue;
-  if (active[kBaseStation.value]) {
-    reached[kBaseStation.value] = true;
-    queue.push_back(kBaseStation);
-  }
-  while (!queue.empty()) {
-    const NodeId u = queue.front();
-    queue.pop_front();
-    for (NodeId v : net_->topology().neighbors(u)) {
-      if (!active[v.value] || reached[v.value]) continue;
-      reached[v.value] = true;
-      queue.push_back(v);
-    }
-  }
-  for (NodeId r : repliers) {
-    if (reached[r.value]) return true;
-    for (NodeId v : net_->topology().neighbors(r))
-      if (reached[v.value]) return true;
-  }
-  return false;
 }
 
 bool PredicateTestEngine::flood_reply(const std::vector<NodeId>& repliers,
@@ -165,7 +162,9 @@ bool PredicateTestEngine::run(const KeySpec& key, const Predicate& predicate) {
 
   bool ok;
   if (mode_ == PredicateTestMode::kReachability) {
-    ok = reaches_base_station(repliers);
+    ReplyReach& reach =
+        shared_reach_ != nullptr ? *shared_reach_ : own_reach_;
+    ok = reach.reaches(*net_, adversary_, repliers);
   } else {
     // Message-level mode: derive the actual reply and token and flood it.
     ByteWriter mac_input;

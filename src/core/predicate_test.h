@@ -14,11 +14,15 @@
 // holder can freely answer either way — the pinpointing protocols are built
 // to be sound against that.
 //
+// Cost: a test visits only the holders of the tested key — the one sensor
+// of a sensor key, the cached holder list of a pool or path key — so it
+// costs O(holders), not O(n) ring lookups.
+//
 // The engine offers two execution modes:
 //  * kReachability (default): because exactly one byte string can
 //    propagate (every forwarder verifies it against the token), flooding
-//    degenerates to reachability; the engine runs a BFS over active honest
-//    sensors. Exact and fast.
+//    degenerates to reachability over active honest sensors (ReplyReach,
+//    one BFS shared by every test of a pinpoint walk). Exact and fast.
 //  * kMessageLevel: the flood actually runs on the fabric — repliers
 //    broadcast MAC_K(N ‖ P), every honest sensor verifies candidate frames
 //    against H(MAC_K(N ‖ P)) and one-time-forwards the first valid one.
@@ -27,6 +31,9 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
+#include <span>
+#include <vector>
 
 #include "attack/adversary.h"
 #include "core/audit.h"
@@ -73,25 +80,43 @@ enum class PredicateTestMode : std::uint8_t {
   kMessageLevel,  ///< full fabric-level verified one-time flood
 };
 
+/// Which sensors a verified reply flood reaches: the base station's
+/// component of the active honest subgraph (unrevoked, non-Byzantine
+/// sensors relay; Byzantine sensors pessimistically never do). Built on
+/// first use and reused until the revoked-sensor count moves. Within one
+/// pinpoint walk it never does — revocations land at the walk's end and
+/// the Byzantine set is fixed — so a walk pays one BFS, not one per test.
+class ReplyReach {
+ public:
+  /// Does a reply from one of `repliers` reach the base station? An honest
+  /// replier must sit in the component, a Byzantine injector next to it.
+  [[nodiscard]] bool reaches(const Network& net, const Adversary* adversary,
+                             std::span<const NodeId> repliers);
+
+ private:
+  std::vector<bool> reached_;
+  /// Revoked-sensor count reached_ was built under (nullopt: not built).
+  std::optional<std::size_t> revoked_sensors_;
+};
+
 class PredicateTestEngine {
  public:
-  /// `audits` must outlive the engine and stay indexed by node id.
+  /// `audits` must outlive the engine and stay indexed by node id. `reach`
+  /// shares one reachability memo across engines (the pinpoint walk passes
+  /// its own); null gives the engine a private one.
   PredicateTestEngine(Network* net, Adversary* adversary,
                       const AuditLog* audits, CostMeter* meter,
                       PredicateTestMode mode = PredicateTestMode::kReachability,
-                      Tracer tracer = {});
+                      Tracer tracer = {}, ReplyReach* reach = nullptr);
 
   /// Run one keyed predicate test. Exact per Theorem 3 semantics plus
   /// Byzantine holders answering via the adversary strategy.
   [[nodiscard]] bool run(const KeySpec& key, const Predicate& predicate);
 
  private:
-  [[nodiscard]] bool holder_is(const KeySpec& key, NodeId node) const;
   [[nodiscard]] const MacContext& key_context(const KeySpec& key) const;
   [[nodiscard]] std::vector<NodeId> collect_repliers(
       const KeySpec& key, const Predicate& predicate);
-  [[nodiscard]] bool reaches_base_station(
-      const std::vector<NodeId>& repliers) const;
   [[nodiscard]] bool flood_reply(const std::vector<NodeId>& repliers,
                                  const Mac& reply, const Digest& token);
 
@@ -101,6 +126,8 @@ class PredicateTestEngine {
   CostMeter* meter_;
   PredicateTestMode mode_;
   Tracer tracer_;
+  ReplyReach* shared_reach_;
+  ReplyReach own_reach_;
   std::uint64_t nonce_{0};
 };
 

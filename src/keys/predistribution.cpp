@@ -129,6 +129,13 @@ std::optional<KeyIndex> Predistribution::path_key_between(NodeId a,
   return std::nullopt;
 }
 
+std::span<const std::pair<NodeId, KeyIndex>> Predistribution::path_keys_of(
+    NodeId node) const {
+  if (node.value >= node_count_)
+    throw std::out_of_range("Predistribution::path_keys_of");
+  return path_keys_[node.value];
+}
+
 bool Predistribution::node_holds(NodeId node, KeyIndex index) const {
   if (index == kNoKey) return false;
   if (!is_path_key(index)) return ring_contains(node, index);

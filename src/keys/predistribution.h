@@ -100,6 +100,11 @@ class Predistribution {
   [[nodiscard]] std::optional<KeyIndex> path_key_between(NodeId a,
                                                          NodeId b) const;
 
+  /// The path keys `node` is an endpoint of, as (peer, index) pairs in
+  /// registration order.
+  [[nodiscard]] std::span<const std::pair<NodeId, KeyIndex>> path_keys_of(
+      NodeId node) const;
+
   /// Does this node hold the key (ring membership or path-key endpoint)?
   /// Thread-safe: ring membership goes through ring_contains(), path keys
   /// through the read-only per-node list.

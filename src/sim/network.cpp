@@ -251,11 +251,28 @@ void Network::snapshot_load(SnapshotReader& r) {
     throw std::invalid_argument(
         "Network::snapshot_load: key material changed since capture "
         "(rekey/path-key establishment) — the snapshot is stale");
+  // MAC contexts depend only on the key material, which the generation
+  // check above pins: if they were warm before the load they still are.
+  const bool contexts_warm =
+      warm_valid_ && warm_generation_ == key_generation_;
   r.vec_pod(edge_key_slots_);
   edge_key_cache_.clear();
-  warm_valid_ = false;
+  warm_valid_ = false;  // until the whole image has loaded
   revocation_.snapshot_load(r);
   fabric_.snapshot_load(r);
+  // The slot table and the registry restore together, so a slot stamped
+  // for the restored registry was filled under exactly its revoked set
+  // (the same rule holds_claimed_key() relies on). If every slot carries
+  // that stamp, the restored table is a complete warm one; otherwise the
+  // next warm_crypto_caches() rebuilds it.
+  const auto stamp =
+      static_cast<std::uint32_t>(revocation_.revoked_key_count()) + 1;
+  warm_valid_ = contexts_warm &&
+                std::all_of(edge_key_slots_.begin(), edge_key_slots_.end(),
+                            [stamp](const EdgeKeySlot& slot) {
+                              return slot.stamp == stamp;
+                            });
+  warm_revoked_count_ = revocation_.revoked_key_count();
 }
 
 std::uint64_t Network::snapshot_fingerprint() const {

@@ -181,7 +181,10 @@ class Network {
   /// Restore a snapshot_save() image. Throws std::invalid_argument when
   /// the key material changed since capture (key_generation mismatch).
   /// The map-side edge-key cache is cleared, not restored: recompute is
-  /// deterministic, so behavior is identical either way.
+  /// deterministic, so behavior is identical either way. The restored
+  /// slot table counts as warm (no re-warm before the next parallel
+  /// section) only if every slot carries the restored registry's stamp
+  /// and the MAC contexts were already warm at this key generation.
   void snapshot_load(SnapshotReader& reader);
   /// Identity hash of the immutable deployment substrate: topology CSR,
   /// key-material spec, revocation threshold, redundancy, fabric config.
@@ -257,15 +260,16 @@ class Network {
   /// generation and revocation stamp it last completed under still hold
   /// (phases re-warm at every serial entry; without this each would redo
   /// the O(n) ring-derivation pass). Invalidated by rekey(), path-key
-  /// establishment (generation bump), any revocation (stamp change), and
-  /// snapshot_load() (conservative: restored slots may predate a
-  /// revocation that happened before capture).
-  // vmat-lint: allow(snapshot-unsafe-state) -- invalidated on load
-  // vmat-analyze: allow(snapshot-field-coverage) -- cache memo, reset on load
+  /// establishment (generation bump) and any revocation (stamp change).
+  /// snapshot_load() recomputes it from the restored table: kept only if
+  /// every slot carries the restored stamp (a table captured with stale
+  /// slots is warmed again).
+  // vmat-lint: allow(snapshot-unsafe-state) -- recomputed on load
+  // vmat-analyze: allow(snapshot-field-coverage) -- memo, recomputed on load
   mutable bool warm_valid_{false};
-  // vmat-analyze: allow(snapshot-field-coverage) -- cache memo, reset on load
+  // vmat-analyze: allow(snapshot-field-coverage) -- memo, recomputed on load
   mutable std::uint64_t warm_generation_{0};
-  // vmat-analyze: allow(snapshot-field-coverage) -- cache memo, reset on load
+  // vmat-analyze: allow(snapshot-field-coverage) -- memo, recomputed on load
   mutable std::size_t warm_revoked_count_{0};
 
   /// Backs the scratch-less receive_valid() overload. Transient per-call

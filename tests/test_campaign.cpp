@@ -337,6 +337,41 @@ TEST(Campaign, SeedCorpusStillConvergesDeterministically) {
   EXPECT_EQ(a.table(), b.table());
 }
 
+TEST(Campaign, RuinCountsRingClosureKeys) {
+  // A self-veto whose vetoer then denies its own ring closes that ring
+  // without pinpointing a single key. The ruin objective must still count
+  // every adversary-held key the probe revoked.
+  CampaignRunner runner(small_config());
+  CampaignEntry entry;
+  entry.seed = 7;
+  entry.policy.agg = campaign::AggAction::kSilentDrop;
+  entry.policy.conf = campaign::ConfAction::kSelfVeto;
+  entry.policy.lie = LiePolicy::kDenyAll;
+  entry.policy.self_veto_value = 4;
+  entry.when = AttackPredicate::always();
+  FlightRecorder recorder;
+  const auto po = runner.replay(entry, recorder);
+  ASSERT_TRUE(po.ruined);
+
+  // Brute force over the recorded stream, on a twin of the deployment.
+  const Network twin(small_config().spec);
+  std::size_t rings_closed = 0;
+  std::size_t adversary_keys = 0;
+  for (const TraceEvent& event : recorder.events()) {
+    if (event.kind == TraceEventKind::kSensorRevoked) ++rings_closed;
+    if (event.kind != TraceEventKind::kKeyRevoked) continue;
+    for (const NodeId m : runner.malicious()) {
+      if (!twin.keys().node_holds(m, event.key)) continue;
+      ++adversary_keys;
+      break;
+    }
+  }
+  ASSERT_GE(rings_closed, 1u);
+  EXPECT_GE(adversary_keys, 60u);  // at least one whole ring (r = 60)
+  EXPECT_EQ(po.adversary_keys_revoked, adversary_keys);
+  EXPECT_EQ(po.honest_sensors_revoked, 0u);
+}
+
 #ifdef VMAT_SOURCE_DIR
 TEST(Campaign, CommittedCorpusReplaysExactly) {
   // tests/data/campaign_corpus.vmatc was recorded by running small_config()

@@ -3,6 +3,11 @@
 // exists, modulo Byzantine holders who may answer either way).
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <unordered_set>
+#include <utility>
+#include <vector>
+
 #include "core/aggregation.h"
 #include "core/predicate_test.h"
 #include "core/tree_formation.h"
@@ -352,6 +357,188 @@ TEST(PredicateEngine, ReplyBlockedByByzantineCutFails) {
   PredicateTestEngine engine2(&fx.net, &adv2, &fx.audits, &meter);
   EXPECT_TRUE(engine2.run(KeySpec::sensor_key(NodeId{1}),
                           fx.forwarded_probe(99, 1)));
+}
+
+// --- differential: the holder-only fast path vs its full-scan definition ---
+
+/// Logs every holder the engine asks, then answers like kRandom (one RNG
+/// draw per call, so a reordered call sequence would change the answers).
+class RecordingStrategy : public PolicyStrategy {
+ public:
+  RecordingStrategy() : PolicyStrategy(LiePolicy::kRandom, 5) {}
+  bool answer_predicate(AdversaryView& view, const Predicate& predicate,
+                        NodeId holder) override {
+    asked.push_back(holder);
+    return PolicyStrategy::answer_predicate(view, predicate, holder);
+  }
+  std::vector<NodeId> asked;
+};
+
+/// Sparse rings on a 6x6 grid (many edges keyed by path keys), honest
+/// audits from one aggregation, then one honest and one Byzantine sensor
+/// fully revoked.
+struct SparseFixture {
+  static NetworkSpec spec() {
+    NetworkSpec cfg;
+    cfg.keys.pool_size = 2000;
+    cfg.keys.ring_size = 30;
+    cfg.keys.seed = 11;
+    return cfg;
+  }
+
+  SparseFixture() : net(Topology::grid(6, 6), spec()), audits(36) {
+    path_keys = net.establish_path_keys();
+    TreePhaseParams tp;
+    tp.depth_bound = net.physical_depth();
+    tp.session = 1;
+    tree = run_tree_formation(net, nullptr, tp);
+    AggConfig cfg;
+    cfg.nonce = 0xbb;
+    ValueTable values(net.node_count(), 1, 0);
+    const ValueTable weights(net.node_count(), 1, 0);
+    for (std::uint32_t id = 0; id < net.node_count(); ++id)
+      values.data[id] = 100 + static_cast<Reading>((id * 7) % 31);
+    (void)run_aggregation(net, nullptr, tree, cfg, values, weights, audits);
+    (void)net.revocation().revoke_sensor(NodeId{20});
+    (void)net.revocation().revoke_sensor(NodeId{15});
+  }
+
+  Network net;
+  TreeResult tree;
+  AuditLog audits;
+  std::size_t path_keys{0};
+};
+
+const std::unordered_set<NodeId> kSparseByzantine{NodeId{8}, NodeId{15},
+                                                  NodeId{27}};
+
+bool holds(const Network& net, const KeySpec& key, NodeId node) {
+  return key.type == KeySpec::Type::kSensorKey
+             ? node == key.sensor
+             : net.keys().node_holds(node, key.pool);
+}
+
+/// The pre-index definition of one test: scan every sensor in id order,
+/// then BFS over the active honest subgraph.
+bool reference_run(const Network& net, Adversary& adversary,
+                   const AuditLog& audits, const KeySpec& key,
+                   const Predicate& predicate) {
+  const std::uint32_t n = net.node_count();
+  std::vector<NodeId> repliers;
+  for (std::uint32_t id = 0; id < n; ++id) {
+    const NodeId node{id};
+    if (!holds(net, key, node) || net.revocation().is_sensor_revoked(node))
+      continue;
+    const bool yes =
+        adversary.is_byzantine(node)
+            ? adversary.strategy().answer_predicate(adversary.view(),
+                                                    predicate, node)
+            : evaluate_predicate(predicate, node, audits);
+    if (yes) repliers.push_back(node);
+  }
+  std::vector<bool> reached(n, false);
+  std::vector<NodeId> queue{kBaseStation};
+  reached[kBaseStation.value] = true;
+  for (std::size_t head = 0; head < queue.size(); ++head)
+    for (NodeId v : net.topology().neighbors(queue[head])) {
+      if (reached[v.value] || net.revocation().is_sensor_revoked(v) ||
+          adversary.is_byzantine(v))
+        continue;
+      reached[v.value] = true;
+      queue.push_back(v);
+    }
+  for (NodeId r : repliers) {
+    if (reached[r.value]) return true;
+    for (NodeId v : net.topology().neighbors(r))
+      if (reached[v.value]) return true;
+  }
+  return false;
+}
+
+TEST(PredicateEngine, HolderIndexMatchesFullScanDefinition) {
+  SparseFixture fx;
+  ASSERT_GT(fx.path_keys, 0u);
+  const std::uint32_t n = fx.net.node_count();
+  const std::uint32_t pool = fx.net.keys().config().pool_size;
+
+  std::vector<KeySpec> keys;
+  for (std::uint32_t id = 0; id < n; ++id)  // base station and revoked too
+    keys.push_back(KeySpec::sensor_key(NodeId{id}));
+  for (std::uint32_t k = 0; k < pool + fx.path_keys; ++k)
+    keys.push_back(KeySpec::pool_key(KeyIndex{k}));
+
+  std::vector<Predicate> predicates;
+  for (const Level level : {Level{1}, Level{3}}) {
+    Predicate p;
+    p.kind = PredicateKind::kAggForwardedValue;
+    p.v_max = 1000;
+    p.level = level;
+    p.id_hi = NodeId{0xffffffff};
+    p.z_hi = KeyIndex{0xfffffff0};
+    predicates.push_back(p);
+  }
+  Predicate received = predicates.front();
+  received.kind = PredicateKind::kAggReceivedValue;
+  received.level = 2;
+  predicates.push_back(received);
+
+  auto make = [](Network* net) {
+    auto strategy = std::make_unique<RecordingStrategy>();
+    RecordingStrategy* log = strategy.get();
+    return std::pair{std::make_unique<Adversary>(net, kSparseByzantine,
+                                                 std::move(strategy)),
+                     log};
+  };
+  auto [fast_adv, fast_log] = make(&fx.net);
+  auto [full_adv, full_log] = make(&fx.net);
+  auto [ref_adv, ref_log] = make(&fx.net);
+  CostMeter m1, m2;
+  PredicateTestEngine fast(&fx.net, fast_adv.get(), &fx.audits, &m1,
+                           PredicateTestMode::kReachability);
+  PredicateTestEngine full(&fx.net, full_adv.get(), &fx.audits, &m2,
+                           PredicateTestMode::kMessageLevel);
+
+  std::size_t successes = 0;
+  std::size_t byzantine_asks = 0;
+  for (std::size_t i = 0; i < predicates.size(); ++i) {
+    const Predicate& predicate = predicates[i];
+    // Revocations between tests of the same engines: their reachability
+    // memo must follow them. The second round cuts the base station off.
+    if (i == 1) (void)fx.net.revocation().revoke_sensor(NodeId{7});
+    if (i == 2) {
+      (void)fx.net.revocation().revoke_sensor(NodeId{1});
+      (void)fx.net.revocation().revoke_sensor(NodeId{6});
+    }
+    for (const KeySpec& key : keys) {
+      std::vector<NodeId> expected;
+      for (std::uint32_t id = 0; id < n; ++id) {
+        const NodeId node{id};
+        if (holds(fx.net, key, node) &&
+            !fx.net.revocation().is_sensor_revoked(node) &&
+            kSparseByzantine.contains(node))
+          expected.push_back(node);
+      }
+      fast_log->asked.clear();
+      full_log->asked.clear();
+      const bool want =
+          reference_run(fx.net, *ref_adv, fx.audits, key, predicate);
+      const bool got_fast = fast.run(key, predicate);
+      const bool got_full = full.run(key, predicate);
+      const std::uint32_t which =
+          key.type == KeySpec::Type::kSensorKey ? key.sensor.value
+                                                : key.pool.value;
+      EXPECT_EQ(fast_log->asked, expected) << "key " << which;
+      EXPECT_EQ(full_log->asked, expected) << "key " << which;
+      EXPECT_EQ(got_fast, want) << "key " << which;
+      EXPECT_EQ(got_full, want) << "key " << which;
+      successes += want ? 1 : 0;
+      byzantine_asks += expected.size();
+    }
+  }
+  // The grid must exercise both answers and the Byzantine branch.
+  EXPECT_GT(successes, 0u);
+  EXPECT_LT(successes, keys.size() * predicates.size());
+  EXPECT_GT(byzantine_asks, 0u);
 }
 
 }  // namespace

@@ -289,6 +289,100 @@ TEST(Snapshot, RestoreRejectsStaleKeyMaterial) {
                std::invalid_argument);
 }
 
+/// One edge-key slot as a Network image stores it: {key index, stamp}.
+struct SlotImage {
+  std::uint32_t key;
+  std::uint32_t stamp;
+  friend bool operator==(const SlotImage&, const SlotImage&) = default;
+};
+
+/// The network's edge-key slot table, read back from its snapshot image
+/// (NETW section: tag, key generation, then the slot vector).
+std::vector<SlotImage> edge_slot_table(const Network& net) {
+  SnapshotWriter w;
+  net.snapshot_save(w);
+  const Bytes image = w.take();
+  SnapshotReader r(image);
+  r.section(0x4e455457);  // "NETW"
+  (void)r.pod<std::uint64_t>();
+  std::vector<SlotImage> slots;
+  r.vec_pod(slots);
+  return slots;
+}
+
+/// Revoke the current edge key of a few grid edges, in a fixed order.
+void burn_edge_keys(Network& net, std::initializer_list<std::uint32_t> from) {
+  for (const std::uint32_t id : from) {
+    const NodeId a{id};
+    const NodeId b = net.topology().neighbors(a).front();
+    if (const auto key = net.usable_edge_key(a, b))
+      (void)net.revocation().revoke_key(*key);
+  }
+}
+
+TEST(Snapshot, RestoredWarmEdgeKeyTableMatchesFreshTwin) {
+  // Capture a fully warm table after some revocations, run on, restore:
+  // the table and every directed edge's key must equal a freshly warmed
+  // twin under the same registry.
+  const Topology topo = Topology::grid(6, 6);
+  Network net(topo, dense_keys());
+  net.warm_crypto_caches();
+  burn_edge_keys(net, {0, 7, 14, 21});
+  net.warm_crypto_caches();
+  SnapshotWriter w;
+  net.snapshot_save(w);
+  const Bytes image = w.take();
+
+  burn_edge_keys(net, {1, 8, 15});  // diverge after the capture
+  (void)net.revocation().revoke_sensor(NodeId{30});
+  net.warm_crypto_caches();
+  SnapshotReader r(image);
+  net.snapshot_load(r);
+
+  Network twin(topo, dense_keys());
+  burn_edge_keys(twin, {0, 7, 14, 21});
+  twin.warm_crypto_caches();
+  ASSERT_EQ(net.revocation().revoked_key_count(),
+            twin.revocation().revoked_key_count());
+  EXPECT_EQ(edge_slot_table(net), edge_slot_table(twin));
+  net.warm_crypto_caches();
+  EXPECT_EQ(edge_slot_table(net), edge_slot_table(twin));
+  for (std::uint32_t id = 0; id < topo.node_count(); ++id)
+    for (const NodeId v : topo.neighbors(NodeId{id}))
+      EXPECT_EQ(net.usable_edge_key(NodeId{id}, v),
+                twin.usable_edge_key(NodeId{id}, v))
+          << id << "->" << v.value;
+}
+
+TEST(Snapshot, StaleStampedEdgeKeyTableIsWarmedAgain) {
+  // A table captured after a revocation but before the next warm holds
+  // stale stamps. Restoring it over a warm live table must not pass it
+  // off as warm: the next warm_crypto_caches() re-stamps every slot.
+  const Topology topo = Topology::grid(6, 6);
+  Network net(topo, dense_keys());
+  net.warm_crypto_caches();
+  burn_edge_keys(net, {0});
+  (void)net.usable_edge_key(NodeId{5}, NodeId{4});  // one slot re-stamped
+  SnapshotWriter w;
+  net.snapshot_save(w);
+  const Bytes image = w.take();
+  net.warm_crypto_caches();
+
+  SnapshotReader r(image);
+  net.snapshot_load(r);
+  net.warm_crypto_caches();
+  const auto stamp =
+      static_cast<std::uint32_t>(net.revocation().revoked_key_count()) + 1;
+  const std::vector<SlotImage> slots = edge_slot_table(net);
+  ASSERT_FALSE(slots.empty());
+  for (const SlotImage& slot : slots) EXPECT_EQ(slot.stamp, stamp);
+
+  Network twin(topo, dense_keys());
+  burn_edge_keys(twin, {0});
+  twin.warm_crypto_caches();
+  EXPECT_EQ(slots, edge_slot_table(twin));
+}
+
 TEST(Snapshot, EnvEscapeHatchDisablesRearm) {
   const SnapshotEnvGuard guard("0");
   EXPECT_FALSE(snapshots_enabled());
