@@ -18,11 +18,14 @@
 #include <vector>
 
 #include "attack/strategies.h"
+#include "campaign/strategy.h"
 #include "core/coordinator.h"
 #include "trial_runner.h"
 #include "util/stats.h"
 
 namespace {
+
+using vmat::campaign::NamedAttack;
 
 vmat::NetworkSpec bench_keys(std::uint64_t seed) {
   vmat::NetworkSpec cfg;
@@ -52,8 +55,8 @@ Row run(bool multipath, std::uint32_t f, std::size_t trials,
         const auto malicious = vmat::choose_malicious(topo, f, seed);
         vmat::Network net(topo, bench_keys(seed));
         vmat::Adversary adv(&net, malicious,
-                            std::make_unique<vmat::SilentDropStrategy>(
-                                vmat::LiePolicy::kDenyAll));
+                            vmat::campaign::named_genome(NamedAttack::kSilent)
+                                .strategy());
         vmat::CoordinatorSpec cfg;
         cfg.depth_bound = topo.depth(malicious);
         cfg.multipath = multipath;

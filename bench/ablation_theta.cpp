@@ -15,6 +15,7 @@
 #include <string>
 
 #include "attack/strategies.h"
+#include "campaign/strategy.h"
 #include "core/coordinator.h"
 #include "trial_runner.h"
 #include "util/random.h"
@@ -87,9 +88,10 @@ CampaignCost run_campaign(std::uint32_t theta, std::uint64_t seed) {
   netcfg.keys.seed = seed;
   netcfg.revocation_threshold = theta;
   vmat::Network net(topo, netcfg);
-  vmat::Adversary adv(&net, {attacker},
-                      std::make_unique<vmat::JunkInjectStrategy>(
-                          vmat::LiePolicy::kDenyAll, /*frame=*/false));
+  vmat::campaign::Genome junk =
+      vmat::campaign::named_genome(vmat::campaign::NamedAttack::kJunk);
+  junk.policy.frame_honest_origin = false;
+  vmat::Adversary adv(&net, {attacker}, junk.strategy());
   vmat::CoordinatorSpec cfg;
   cfg.depth_bound =
       topo.depth(std::unordered_set<vmat::NodeId>{attacker}) + 2;

@@ -19,12 +19,15 @@
 #include <vector>
 
 #include "attack/strategies.h"
+#include "campaign/strategy.h"
 #include "core/coordinator.h"
 #include "sim/fabric.h"
 #include "trial_runner.h"
 #include "util/stats.h"
 
 namespace {
+
+using vmat::campaign::NamedAttack;
 
 /// Pre-PR serial reference for the acceptance gate: clean n=4000 execution
 /// wall time of the per-node serial slot loop with per-Envelope heap
@@ -211,9 +214,9 @@ int main() {
           attacked_group, n_trials, 0,
           [&](std::size_t t, vmat::Rng&) {
             vmat::Network net(topo, bench_keys(n));
-            vmat::Adversary adv(&net, malicious,
-                                std::make_unique<vmat::SilentDropStrategy>(
-                                    vmat::LiePolicy::kDenyAll));
+            vmat::Adversary adv(
+                &net, malicious,
+                vmat::campaign::named_genome(NamedAttack::kSilent).strategy());
             vmat::CoordinatorSpec cfg;
             cfg.depth_bound = topo.depth(malicious);
             vmat::VmatCoordinator coordinator(&net, &adv, cfg);

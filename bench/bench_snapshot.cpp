@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "attack/strategies.h"
+#include "campaign/strategy.h"
 #include "core/coordinator.h"
 #include "sim/fabric.h"
 #include "sim/snapshot.h"
@@ -33,6 +34,8 @@
 #include "util/stats.h"
 
 namespace {
+
+using vmat::campaign::NamedAttack;
 
 vmat::NetworkSpec bench_keys(std::uint64_t seed) {
   vmat::NetworkSpec cfg;
@@ -186,9 +189,9 @@ void export_fork_trace(const char* dir) {
   }
 
   vmat::Network net(topo, bench_keys(n));
-  vmat::Adversary adv(&net, malicious,
-                      std::make_unique<vmat::SilentDropStrategy>(
-                          vmat::LiePolicy::kDenyAll));
+  vmat::Adversary adv(
+      &net, malicious,
+      vmat::campaign::named_genome(NamedAttack::kSilent).strategy());
   vmat::CoordinatorSpec cfg;
   cfg.depth_bound = topo.depth(malicious);
   vmat::VmatCoordinator coordinator(&net, &adv, cfg);

@@ -18,6 +18,7 @@
 #include <cstdio>
 #include <memory>
 
+#include "campaign/strategy.h"
 #include "core/coordinator.h"
 #include "spec/attack_spec.h"
 #include "trial_runner.h"
@@ -47,15 +48,14 @@ Outcome run_campaign(std::uint32_t f, std::uint32_t theta,
   vmat::Network net(topo, netcfg);
   (void)net.establish_path_keys();
 
-  // The attack, declaratively: junk injection in the first aggregation
-  // slot under the sensors' own names (the zoo's JunkInjectStrategy with
-  // frame=false, as an AttackSpec genome).
+  // The attack, declaratively: the named junk genome (spurious minima in
+  // the first aggregation slot), under the sensors' own names.
+  vmat::campaign::Genome junk =
+      vmat::campaign::named_genome(vmat::campaign::NamedAttack::kJunk);
+  junk.policy.frame_honest_origin = false;
   vmat::AttackSpec attack;
   attack.compromised(f).placement_seed(seed + 5);
-  attack.policy({.agg = vmat::campaign::AggAction::kInjectJunk,
-                 .frame_honest_origin = false});
-  attack.when(vmat::campaign::AttackPredicate::slot_at_least(1) &&
-              !vmat::campaign::AttackPredicate::slot_at_least(2));
+  attack.policy(junk.policy).when(junk.when);
   auto built = attack.build(net);
   if (!built.has_value()) {
     std::fprintf(stderr, "FIG-NEUT: %s\n", built.error().to_string().c_str());

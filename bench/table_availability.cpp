@@ -20,10 +20,13 @@
 #include "baseline/shia.h"
 #include "baseline/tag.h"
 #include "attack/strategies.h"
+#include "campaign/strategy.h"
 #include "core/coordinator.h"
 #include "util/stats.h"
 
 namespace {
+
+using vmat::campaign::NamedAttack;
 
 constexpr int kAttempts = 40;
 
@@ -123,9 +126,9 @@ int main() {
   {  // VMAT
     vmat::Network net(topo, bench_keys());
     (void)net.establish_path_keys();
-    vmat::Adversary adv(&net, malicious,
-                        std::make_unique<vmat::ChokeVetoStrategy>(
-                            vmat::LiePolicy::kDenyAll));
+    vmat::Adversary adv(
+        &net, malicious,
+        vmat::campaign::named_genome(NamedAttack::kChoke).strategy());
     vmat::CoordinatorSpec cfg;
     cfg.depth_bound = topo.depth(malicious);
     vmat::VmatCoordinator coordinator(&net, &adv, cfg);

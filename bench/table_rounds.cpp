@@ -13,11 +13,14 @@
 #include <memory>
 
 #include "attack/strategies.h"
+#include "campaign/strategy.h"
 #include "baseline/sampling.h"
 #include "core/coordinator.h"
 #include "util/stats.h"
 
 namespace {
+
+using vmat::campaign::NamedAttack;
 
 /// Chain 0-1-...-depth with the malicious node in the middle, plus a
 /// parallel honest detour of the same length connected to the far end.
@@ -83,7 +86,7 @@ int main() {
       vmat::Network net(std::move(g.topo), bench_keys(depth));
       vmat::Adversary adv(
           &net, {g.malicious},
-          std::make_unique<vmat::SilentDropStrategy>(vmat::LiePolicy::kDenyAll));
+          vmat::campaign::named_genome(NamedAttack::kSilent).strategy());
       vmat::CoordinatorSpec cfg;
       cfg.depth_bound =
           net.topology().depth(std::unordered_set<vmat::NodeId>{g.malicious});

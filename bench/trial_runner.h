@@ -137,8 +137,8 @@ struct ForkDeployment {
 /// rejects any drift.
 using ForkFactory = std::function<std::unique_ptr<ForkDeployment>()>;
 
-/// One fork trial body: finish the execution from `snapshot` (resume_from /
-/// resume_min on fork.coordinator). Strategies may diverge per trial via
+/// One fork trial body: finish the execution from `snapshot`
+/// (resume_min on fork.coordinator). Strategies may diverge per trial via
 /// set_adversary(), but the malicious *set* is fixed by the factory.
 using ForkTrialFn = std::function<void(
     std::size_t trial, Rng& rng, ForkDeployment& fork, const Snapshot& snapshot)>;

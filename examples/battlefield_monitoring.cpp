@@ -9,6 +9,8 @@
 
 #include "vmat.h"
 
+using vmat::campaign::NamedAttack;
+
 int main() {
   const auto topology =
       vmat::Topology::random_geometric(/*n=*/150, /*radius=*/0.17, /*seed=*/5);
@@ -52,7 +54,8 @@ int main() {
 
   vmat::Adversary adversary(
       &net, captured,
-      std::make_unique<vmat::ValueDropStrategy>(vmat::LiePolicy::kRandom));
+      vmat::campaign::named_genome(NamedAttack::kDrop, vmat::LiePolicy::kRandom)
+          .strategy());
 
   vmat::CoordinatorSpec cfg;
   cfg.depth_bound = topology.depth(captured);

@@ -8,6 +8,8 @@
 
 #include "vmat.h"
 
+using vmat::campaign::NamedAttack;
+
 int main() {
   const auto topology = vmat::Topology::grid(7, 7);
 
@@ -23,7 +25,7 @@ int main() {
   const auto malicious = vmat::choose_malicious(topology, 1, 21);
   vmat::Adversary adversary(
       &net, malicious,
-      std::make_unique<vmat::ChokeVetoStrategy>(vmat::LiePolicy::kDenyAll));
+      vmat::campaign::named_genome(NamedAttack::kChoke).strategy());
 
   vmat::CoordinatorSpec cfg;
   cfg.depth_bound = topology.depth(malicious);

@@ -30,9 +30,11 @@ int main() {
               attacker.value, topology.degree(attacker),
               netcfg.keys.ring_size, netcfg.revocation_threshold);
 
-  vmat::Adversary adversary(&net, {attacker},
-                            std::make_unique<vmat::JunkInjectStrategy>(
-                                vmat::LiePolicy::kDenyAll, /*frame=*/false));
+  // Junk minima under the attacker's own name (no framing).
+  vmat::campaign::Genome junk =
+      vmat::campaign::named_genome(vmat::campaign::NamedAttack::kJunk);
+  junk.policy.frame_honest_origin = false;
+  vmat::Adversary adversary(&net, {attacker}, junk.strategy());
   vmat::CoordinatorSpec cfg;
   cfg.depth_bound =
       topology.depth(std::unordered_set<vmat::NodeId>{attacker}) + 2;

@@ -26,18 +26,21 @@
 // existing corpus (if the file exists) and writes the found corpus back;
 // --trace exports the worst probe's event stream. --replay FILE instead
 // re-executes every corpus entry and verifies its outcome digest — the
-// regression mode the committed corpus runs under ctest; --trace,
-// --corpus and --campaign are rejected there, since a replay reads none
-// of them. --attack, --executions and --serve are rejected under both
-// --campaign and --replay: probes bring their own adversary and run one
-// execution each.
+// regression mode the committed corpus runs under ctest.
 //
 // --daemon starts vmatd: N independent tenants served over the frame
 // protocol (src/serve/protocol.h) on stdin/stdout, or on a Unix socket
 // with --socket PATH (accepts one session). The first A tenants host a
-// ChokeVeto adversary compromising --f nodes each. --trace records
+// choke adversary compromising --f nodes each. --trace records
 // tenant 0's epoch formations and serving executions and writes the JSON
 // after the session ends (the frame stream itself stays clean).
+//
+// --attack silent|drop|junk|choke|selfveto places the paper's named attack
+// genome (campaign/strategy.h); wormhole, random and garbage place the
+// hand-written strategies no genome expresses.
+//
+// Every flag takes effect or exits 2: kModes below lists the flags each
+// mode reads, and any other flag given names itself and the mode.
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -49,8 +52,8 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <string_view>
 
-#include "attack/composite.h"
 #include "vmat.h"
 
 namespace {
@@ -135,6 +138,44 @@ std::uint32_t parse_size(const char* flag, const std::string& text) {
   return static_cast<std::uint32_t>(parse_uint(flag, text, 0, 1u << 20));
 }
 
+/// Each mode and every flag it reads, in main()'s dispatch order. A flag
+/// given outside its mode's list would do nothing, so parse() rejects it.
+struct ModeFlags {
+  const char* name;
+  std::string_view reads;  ///< space-separated
+};
+
+constexpr ModeFlags kModes[] = {
+    {"--daemon",
+     "--daemon --tenants --adversary-tenants --socket --nodes --topology "
+     "--seed --f --theta --instances --trace"},
+    // Campaign probes and replays place their own genome adversary and
+    // run one MIN execution each.
+    {"--replay",
+     "--replay --nodes --topology --seed --f --theta --multipath "
+     "--sparse-keys"},
+    {"--campaign",
+     "--campaign --corpus --trace --nodes --topology --seed --f --theta "
+     "--multipath --sparse-keys"},
+    {"--serve",
+     "--serve --instances --attack --trace --nodes --topology --seed --f "
+     "--theta --multipath --sparse-keys"},
+    {"--query count",
+     "--query --instances --executions --attack --trace --nodes --topology "
+     "--seed --f --theta --multipath --sparse-keys"},
+    {"--query min",
+     "--query --executions --attack --trace --nodes --topology --seed --f "
+     "--theta --multipath --sparse-keys"},
+};
+
+const ModeFlags& mode_of(const Options& o) {
+  if (o.daemon) return kModes[0];
+  if (!o.replay.empty()) return kModes[1];
+  if (o.campaign > 0) return kModes[2];
+  if (o.serve > 0) return kModes[3];
+  return o.query == "count" ? kModes[4] : kModes[5];
+}
+
 Options parse(int argc, char** argv) {
   Options o;
   for (int i = 1; i < argc; ++i) {
@@ -174,27 +215,13 @@ Options parse(int argc, char** argv) {
                  o.query.c_str());
     std::exit(2);
   }
-  if (!o.replay.empty()) {
-    const char* unused = !o.trace.empty()    ? "--trace"
-                         : !o.corpus.empty() ? "--corpus"
-                         : o.campaign > 0    ? "--campaign"
-                                             : nullptr;
-    if (unused != nullptr) {
-      std::fprintf(stderr, "vmatsim: %s has no effect with --replay\n",
-                   unused);
-      std::exit(2);
-    }
-  }
-  if (o.campaign > 0 || !o.replay.empty()) {
-    // Campaign probes and replays place their own genome adversary and run
-    // one MIN execution per probe.
-    const char* mode = o.replay.empty() ? "--campaign" : "--replay";
-    for (const char* unused : {"--attack", "--executions", "--serve"}) {
-      if (!o.given.contains(unused)) continue;
-      std::fprintf(stderr, "vmatsim: %s has no effect with %s\n", unused,
-                   mode);
-      std::exit(2);
-    }
+  const ModeFlags& mode = mode_of(o);
+  const std::string reads = " " + std::string(mode.reads) + " ";
+  for (const std::string& flag : o.given) {
+    if (reads.find(" " + flag + " ") != std::string::npos) continue;
+    std::fprintf(stderr, "vmatsim: %s has no effect with %s\n", flag.c_str(),
+                 mode.name);
+    std::exit(2);
   }
   if (o.adversary_tenants > o.tenants) {
     std::fprintf(stderr,
@@ -237,64 +264,26 @@ vmat::SimulationSpec make_spec(Options& o) {
   return spec;
 }
 
-/// The classic named attacks, described declaratively (the AttackSpec path —
-/// the zoo subclasses these mirror remain only for attacks whose behavior is
-/// not expressible as a policy x predicate genome).
-bool describe_attack(const std::string& name, vmat::AttackSpec& attack) {
-  using vmat::campaign::AggAction;
-  using vmat::campaign::AttackPolicy;
-  using vmat::campaign::AttackPredicate;
-  using vmat::campaign::ConfAction;
-  // The zoo's choking attacks all strike in the first slot only.
-  const AttackPredicate first_slot =
-      AttackPredicate::slot_at_least(1) && !AttackPredicate::slot_at_least(2);
-  AttackPolicy policy;
-  if (name == "silent") {
-    attack.policy(policy);
-  } else if (name == "drop") {
-    policy.agg = AggAction::kForwardMax;
-    policy.lie = vmat::LiePolicy::kRandom;
-    attack.policy(policy);
-  } else if (name == "junk") {
-    policy.agg = AggAction::kInjectJunk;
-    attack.policy(policy).when(first_slot);
-  } else if (name == "choke") {
-    policy.conf = ConfAction::kChokeVeto;
-    attack.policy(policy).when(first_slot);
-  } else if (name == "selfveto") {
-    policy.conf = ConfAction::kSelfVeto;
-    policy.self_veto_value = 1;
-    attack.policy(policy).when(first_slot);
-  } else {
-    return false;
-  }
-  return true;
-}
-
-/// Zoo strategies with behavior outside the declarative genome (physical
-/// wormholes, per-slot coin flips, malformed frames).
-std::unique_ptr<vmat::AdversaryStrategy> make_zoo_strategy(const Options& o) {
-  using namespace vmat;
-  if (o.attack == "wormhole")
-    return std::make_unique<WormholeStrategy>(100, LiePolicy::kDenyAll);
-  if (o.attack == "random")
-    return std::make_unique<RandomByzantineStrategy>(o.seed);
-  if (o.attack == "garbage") return std::make_unique<GarbageStrategy>(o.seed);
-  std::fprintf(stderr, "unknown attack: %s\n", o.attack.c_str());
-  std::exit(2);
-}
-
-/// Place the configured adversary: the declarative AttackSpec path when the
-/// attack is expressible as policy x predicate, the zoo otherwise.
+/// Place the configured adversary: a named attack genome through the
+/// declarative AttackSpec, or a strategy no genome expresses.
 std::unique_ptr<vmat::Adversary> make_adversary(const Options& o,
                                                 vmat::SimulationSpec& spec,
                                                 vmat::Network& net) {
+  using namespace vmat;
   if (o.attack == "none" || o.f == 0)
-    return std::make_unique<vmat::Adversary>(
-        &net, std::unordered_set<vmat::NodeId>{},
-        std::make_unique<vmat::NullStrategy>());
-  if (describe_attack(o.attack, spec.attack())) {
-    spec.attack().compromised(o.f).placement_seed(o.seed + 17);
+    return std::make_unique<Adversary>(&net, std::unordered_set<NodeId>{},
+                                       std::make_unique<NullStrategy>());
+  if (const auto named = campaign::named_attack(o.attack); named.has_value()) {
+    // `drop` answers predicate tests at random; the others stonewall them.
+    const LiePolicy lie = named.value() == campaign::NamedAttack::kDrop
+                              ? LiePolicy::kRandom
+                              : LiePolicy::kDenyAll;
+    const campaign::Genome genome = campaign::named_genome(named.value(), lie);
+    spec.attack()
+        .compromised(o.f)
+        .placement_seed(o.seed + 17)
+        .policy(genome.policy)
+        .when(genome.when);
     auto built = spec.build_adversary(net);
     if (!built.has_value()) {
       std::fprintf(stderr, "vmatsim: %s\n", built.error().to_string().c_str());
@@ -302,9 +291,20 @@ std::unique_ptr<vmat::Adversary> make_adversary(const Options& o,
     }
     return std::move(built.value());
   }
-  auto malicious = vmat::choose_malicious(net.topology(), o.f, o.seed + 17);
-  return std::make_unique<vmat::Adversary>(&net, std::move(malicious),
-                                           make_zoo_strategy(o));
+  std::unique_ptr<AdversaryStrategy> strategy;
+  if (o.attack == "wormhole")
+    strategy = std::make_unique<WormholeStrategy>(100, LiePolicy::kDenyAll);
+  else if (o.attack == "random")
+    strategy = std::make_unique<RandomByzantineStrategy>(o.seed);
+  else if (o.attack == "garbage")
+    strategy = std::make_unique<GarbageStrategy>(o.seed);
+  else {
+    std::fprintf(stderr, "unknown attack: %s\n", o.attack.c_str());
+    std::exit(2);
+  }
+  return std::make_unique<Adversary>(
+      &net, choose_malicious(net.topology(), o.f, o.seed + 17),
+      std::move(strategy));
 }
 
 /// Round-robin over the engine's query kinds so a --serve run exercises

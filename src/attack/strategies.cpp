@@ -5,12 +5,6 @@
 namespace vmat {
 namespace {
 
-/// A non-revoked key the adversary shares with `target`, preferring keys
-/// actually usable for frames `target` will accept.
-std::optional<KeyIndex> usable_attack_key(AdversaryView& view, NodeId target) {
-  return view.attack_key_for(target);
-}
-
 /// The slot in which a sensor at level i transmits its bundle.
 Interval send_slot_for_level(Level depth_bound, Level level) {
   return depth_bound - level + 1;
@@ -21,7 +15,9 @@ Interval send_slot_for_level(Level depth_bound, Level level) {
 PolicyStrategy::PolicyStrategy(LiePolicy policy, std::uint64_t seed)
     : policy_(policy), rng_(seed) {}
 
-void participate_in_tree_formation(AdversaryView& view, const TreeCtx& ctx) {
+void PolicyStrategy::on_tree_slot(AdversaryView& view, const TreeCtx& ctx) {
+  // Rebroadcast the flood in the slot after first receipt, exactly like an
+  // honest sensor.
   const Bytes frame = encode(TreeFormationMsg{ctx.session, 0});
   for (NodeId m : view.malicious()) {
     const Level level = (*ctx.levels)[m.value];
@@ -32,10 +28,6 @@ void participate_in_tree_formation(AdversaryView& view, const TreeCtx& ctx) {
       if (key.has_value()) (void)view.inject(m, v, m, *key, frame);
     }
   }
-}
-
-void PolicyStrategy::on_tree_slot(AdversaryView& view, const TreeCtx& ctx) {
-  participate_in_tree_formation(view, ctx);
 }
 
 bool PolicyStrategy::answer_predicate(AdversaryView&, const Predicate&,
@@ -91,7 +83,7 @@ void inject_junk_min(AdversaryView& view, const AggCtx& ctx, NodeId node,
   const Bytes frame = encode(AggBundle{{junk}});
   for (NodeId v : view.net().topology().neighbors(node)) {
     if (view.is_malicious(v)) continue;
-    const auto key = usable_attack_key(view, v);
+    const auto key = view.attack_key_for(v);
     if (key.has_value()) (void)view.inject(node, v, node, *key, frame);
   }
 }
@@ -109,7 +101,7 @@ void inject_spurious_veto(AdversaryView& view, const ConfCtx& ctx, NodeId node,
   const Bytes frame = encode(veto);
   for (NodeId v : view.net().topology().neighbors(node)) {
     if (view.is_malicious(v)) continue;
-    const auto key = usable_attack_key(view, v);
+    const auto key = view.attack_key_for(v);
     if (key.has_value()) (void)view.inject(node, v, node, *key, frame);
   }
 }
@@ -123,48 +115,12 @@ void inject_valid_self_veto(AdversaryView& view, const ConfCtx& ctx,
   const Bytes frame = encode(veto);
   for (NodeId v : view.net().topology().neighbors(node)) {
     if (view.is_malicious(v)) continue;
-    const auto key = usable_attack_key(view, v);
+    const auto key = view.attack_key_for(v);
     if (key.has_value()) (void)view.inject(node, v, node, *key, frame);
   }
 }
 
-// --- concrete strategies ---
-
-void ValueDropStrategy::on_agg_slot(AdversaryView& view, const AggCtx& ctx) {
-  for (NodeId m : view.malicious()) forward_max_instead_of_min(view, ctx, m);
-}
-
-void JunkInjectStrategy::on_agg_slot(AdversaryView& view, const AggCtx& ctx) {
-  if (ctx.slot != 1) return;  // inject once, early, so it wins every min
-  for (NodeId m : view.malicious()) {
-    NodeId claimed = m;
-    if (frame_honest_origin_) {
-      // Frame an honest neighbor if one exists.
-      for (NodeId v : view.net().topology().neighbors(m)) {
-        if (!view.is_malicious(v) && v != kBaseStation) {
-          claimed = v;
-          break;
-        }
-      }
-    }
-    inject_junk_min(view, ctx, m, claimed);
-  }
-}
-
-void ChokeVetoStrategy::on_conf_slot(AdversaryView& view, const ConfCtx& ctx) {
-  if (ctx.slot != 1) return;  // race the legitimate vetoers in slot 1
-  for (NodeId m : view.malicious()) inject_spurious_veto(view, ctx, m, m);
-}
-
-void SelfVetoStrategy::on_conf_slot(AdversaryView& view, const ConfCtx& ctx) {
-  if (ctx.slot != 1) return;
-  if ((*ctx.broadcast_minima)[0] <= hidden_value_) return;  // nothing to veto
-  // One malicious sensor (the smallest id) vetoes its hidden value.
-  NodeId vetoer = *view.malicious().begin();
-  for (NodeId m : view.malicious())
-    if (m < vetoer) vetoer = m;
-  inject_valid_self_veto(view, ctx, vetoer, hidden_value_);
-}
+// --- hand-written strategies ---
 
 void WormholeStrategy::on_tree_slot(AdversaryView& view, const TreeCtx& ctx) {
   if (ctx.slot != 1) return;
@@ -174,7 +130,7 @@ void WormholeStrategy::on_tree_slot(AdversaryView& view, const TreeCtx& ctx) {
   for (NodeId m : view.malicious()) {
     for (NodeId v : view.net().topology().neighbors(m)) {
       if (view.is_malicious(v) || v == kBaseStation) continue;
-      const auto key = usable_attack_key(view, v);
+      const auto key = view.attack_key_for(v);
       if (key.has_value()) (void)view.inject(m, v, m, *key, frame);
     }
   }
@@ -235,6 +191,47 @@ bool RandomByzantineStrategy::answer_predicate(AdversaryView&,
 Reading RandomByzantineStrategy::own_reading(NodeId, Reading honest) {
   return rng_.bernoulli(0.3) ? honest + static_cast<Reading>(rng_.between(-5, 50))
                              : honest;
+}
+
+GarbageStrategy::GarbageStrategy(std::uint64_t seed, int blobs_per_slot)
+    : rng_(seed), blobs_per_slot_(blobs_per_slot) {}
+
+void GarbageStrategy::spray(AdversaryView& view) {
+  for (NodeId m : view.malicious()) {
+    for (int i = 0; i < blobs_per_slot_; ++i) {
+      // Random type tag (possibly valid) followed by random bytes: every
+      // decoder sees every kind of malformed frame.
+      Bytes blob;
+      const auto len = static_cast<std::size_t>(rng_.between(0, 40));
+      blob.reserve(len + 1);
+      blob.push_back(static_cast<std::uint8_t>(rng_.between(0, 6)));
+      for (std::size_t b = 0; b < len; ++b)
+        blob.push_back(static_cast<std::uint8_t>(rng_.below(256)));
+      for (NodeId v : view.net().topology().neighbors(m)) {
+        if (view.is_malicious(v)) continue;
+        const auto key = view.attack_key_for(v);
+        if (key.has_value() && rng_.bernoulli(0.5))
+          (void)view.inject(m, v, m, *key, blob);
+      }
+    }
+  }
+}
+
+void GarbageStrategy::on_tree_slot(AdversaryView& view, const TreeCtx&) {
+  spray(view);
+}
+
+void GarbageStrategy::on_agg_slot(AdversaryView& view, const AggCtx&) {
+  spray(view);
+}
+
+void GarbageStrategy::on_conf_slot(AdversaryView& view, const ConfCtx&) {
+  spray(view);
+}
+
+bool GarbageStrategy::answer_predicate(AdversaryView&, const Predicate&,
+                                       NodeId) {
+  return rng_.bernoulli(0.3);
 }
 
 std::unordered_set<NodeId> choose_malicious(const Topology& topology,

@@ -1,34 +1,24 @@
-// Concrete adversary strategies — the attack zoo used by tests, benches,
-// and examples. Each models an attack family the paper discusses:
+// Hand-written adversary strategies: the behaviour no AttackPolicy genome
+// (campaign/strategy.h) expresses, plus the shared base and building blocks
+// the genomes run on.
 //
+//   PolicyStrategy      base: honest tree formation plus a LiePolicy for
+//                       keyed predicate tests. PredicatedStrategy, which
+//                       runs every named attack (silent, drop, junk, choke,
+//                       selfveto), derives from it.
 //   NullStrategy        dormant (passthrough) — the no-attack control.
-//   SilentDropStrategy  malicious sensors transmit nothing at all, so every
-//                       value routed through them is silently dropped
-//                       (Section IV-B dropping attack).
-//   ValueDropStrategy   participates but forwards the *largest* collected
-//                       value instead of the smallest — the stealthy form
-//                       of the dropping attack.
-//   JunkInjectStrategy  injects spurious minima (invalid sensor MACs, tiny
-//                       values, framed origins) during aggregation
-//                       (Figure 1 step 4).
-//   ChokeVetoStrategy   drops during aggregation, then floods spurious
-//                       vetoes in SOF slot 1 to beat legitimate vetoes to
-//                       every one-time forwarder — the choking attack of
-//                       Section IV-C.
-//   SelfVetoStrategy    hides its own small reading during aggregation and
-//                       then vetoes it with a *valid* MAC (the "legitimate
-//                       veto from a malicious sensor" case of Theorem 2).
 //   WormholeStrategy    during tree formation, injects tree frames with
 //                       forged hop counts through a wormhole (Figure 2(c));
 //                       breaks hop-count trees, is harmless against VMAT's
 //                       timestamp trees.
-//   RandomByzantineStrategy  seeded random mixture of all of the above with
-//                       random predicate-test answers — the fuzzing
-//                       adversary for the Theorem 7 property tests.
-//
-// All strategies take a LiePolicy governing how malicious key holders
-// answer keyed predicate tests: deny everything, admit everything, answer
-// randomly, or answer honestly from the node's real records.
+//   RandomByzantineStrategy  per-slot coin flips over every attack family
+//                       plus random predicate answers and own readings —
+//                       the fuzzing adversary of the Theorem 7 sweeps.
+//   GarbageStrategy     the protocol fuzzer: every slot of every phase, each
+//                       malicious node sprays random byte blobs under valid
+//                       edge MACs. Nothing it sends is well-formed, so honest
+//                       decoders drop it and the execution behaves as if the
+//                       adversary were silent.
 #pragma once
 
 #include <memory>
@@ -63,59 +53,9 @@ class PolicyStrategy : public AdversaryStrategy {
   Rng rng_;
 };
 
-/// Honest tree-formation behaviour for malicious sensors: rebroadcast the
-/// flood in the slot after first receipt, exactly like an honest sensor.
-void participate_in_tree_formation(AdversaryView& view, const TreeCtx& ctx);
-
 class NullStrategy final : public AdversaryStrategy {
  public:
   [[nodiscard]] bool passthrough() const override { return true; }
-};
-
-class SilentDropStrategy final : public PolicyStrategy {
- public:
-  explicit SilentDropStrategy(LiePolicy policy = LiePolicy::kDenyAll)
-      : PolicyStrategy(policy) {}
-};
-
-class ValueDropStrategy final : public PolicyStrategy {
- public:
-  explicit ValueDropStrategy(LiePolicy policy = LiePolicy::kDenyAll)
-      : PolicyStrategy(policy) {}
-
-  void on_agg_slot(AdversaryView& view, const AggCtx& ctx) override;
-};
-
-class JunkInjectStrategy final : public PolicyStrategy {
- public:
-  explicit JunkInjectStrategy(LiePolicy policy = LiePolicy::kDenyAll,
-                              bool frame_honest_origin = true)
-      : PolicyStrategy(policy), frame_honest_origin_(frame_honest_origin) {}
-
-  void on_agg_slot(AdversaryView& view, const AggCtx& ctx) override;
-
- private:
-  bool frame_honest_origin_;
-};
-
-class ChokeVetoStrategy final : public PolicyStrategy {
- public:
-  explicit ChokeVetoStrategy(LiePolicy policy = LiePolicy::kDenyAll)
-      : PolicyStrategy(policy) {}
-
-  void on_conf_slot(AdversaryView& view, const ConfCtx& ctx) override;
-};
-
-class SelfVetoStrategy final : public PolicyStrategy {
- public:
-  explicit SelfVetoStrategy(Reading hidden_value,
-                            LiePolicy policy = LiePolicy::kDenyAll)
-      : PolicyStrategy(policy), hidden_value_(hidden_value) {}
-
-  void on_conf_slot(AdversaryView& view, const ConfCtx& ctx) override;
-
- private:
-  Reading hidden_value_;
 };
 
 class WormholeStrategy final : public PolicyStrategy {
@@ -148,7 +88,26 @@ class RandomByzantineStrategy final : public AdversaryStrategy {
   Rng rng_;
 };
 
-// --- shared attack building blocks (also used by tests) ---
+class GarbageStrategy final : public AdversaryStrategy {
+ public:
+  /// `blobs_per_slot` frames per malicious node per slot.
+  explicit GarbageStrategy(std::uint64_t seed, int blobs_per_slot = 2);
+
+  void on_tree_slot(AdversaryView& view, const TreeCtx& ctx) override;
+  void on_agg_slot(AdversaryView& view, const AggCtx& ctx) override;
+  void on_conf_slot(AdversaryView& view, const ConfCtx& ctx) override;
+  [[nodiscard]] bool answer_predicate(AdversaryView& view,
+                                      const Predicate& predicate,
+                                      NodeId holder) override;
+
+ private:
+  void spray(AdversaryView& view);
+
+  Rng rng_;
+  int blobs_per_slot_;
+};
+
+// --- shared attack building blocks (genome actions, RandomByzantine) ---
 
 /// Forward the per-instance *maximum* (dropping the minimum) from a
 /// malicious node at its scheduled slot, to its recorded parents.

@@ -125,6 +125,13 @@ constexpr EnumName<LiePolicy> kLieNames[] = {
     {LiePolicy::kAdmitAll, "admit"},
     {LiePolicy::kRandom, "random"},
 };
+constexpr EnumName<NamedAttack> kAttackNames[] = {
+    {NamedAttack::kSilent, "silent"},
+    {NamedAttack::kDrop, "drop"},
+    {NamedAttack::kJunk, "junk"},
+    {NamedAttack::kChoke, "choke"},
+    {NamedAttack::kSelfVeto, "selfveto"},
+};
 
 template <typename T, std::size_t N>
 std::string_view name_of(const EnumName<T> (&table)[N], T value) {
@@ -198,6 +205,51 @@ Expected<AttackPolicy> policy_from_text(std::string_view text) {
     pos = comma + 1;
   }
   return policy;
+}
+
+std::unique_ptr<PredicatedStrategy> Genome::strategy() const {
+  return std::make_unique<PredicatedStrategy>(policy, when);
+}
+
+Genome named_genome(NamedAttack attack, LiePolicy lie) {
+  // The first-strike attacks race honest traffic in slot 1 only.
+  const AttackPredicate first_slot =
+      AttackPredicate::slot_at_least(1) && !AttackPredicate::slot_at_least(2);
+  Genome genome;
+  genome.policy.lie = lie;
+  switch (attack) {
+    case NamedAttack::kSilent:
+      break;
+    case NamedAttack::kDrop:
+      genome.policy.agg = AggAction::kForwardMax;
+      break;
+    case NamedAttack::kJunk:
+      genome.policy.agg = AggAction::kInjectJunk;
+      genome.when = first_slot;
+      break;
+    case NamedAttack::kChoke:
+      genome.policy.conf = ConfAction::kChokeVeto;
+      genome.when = first_slot;
+      break;
+    case NamedAttack::kSelfVeto:
+      genome.policy.conf = ConfAction::kSelfVeto;
+      genome.policy.self_veto_value = 1;
+      genome.when = first_slot;
+      break;
+  }
+  return genome;
+}
+
+std::string_view to_string(NamedAttack attack) {
+  return name_of(kAttackNames, attack);
+}
+
+Expected<NamedAttack> named_attack(std::string_view name) {
+  NamedAttack attack{};
+  if (value_of(kAttackNames, name, attack)) return attack;
+  return Error{ErrorCode::kInvalidArgument,
+               "unknown attack '" + std::string(name) +
+                   "' (expected silent, drop, junk, choke or selfveto)"};
 }
 
 }  // namespace vmat::campaign

@@ -1,18 +1,23 @@
 // AttackPolicy × AttackPredicate — attack strategies as data.
 //
 // AttackPolicy is the action genome: WHAT the compromised set does in each
-// query phase, drawn from the shared building blocks of the strategy zoo
+// query phase, drawn from the shared attack building blocks
 // (attack/strategies.h). AttackPredicate (campaign/predicate.h) is WHEN it
 // does it. PredicatedStrategy glues the two behind the ordinary
 // AdversaryStrategy hook interface, so one serializable (policy, predicate,
-// seed) triple replaces a hand-written PolicyStrategy subclass — which is
-// what the campaign fuzzer mutates and the corpus replays.
+// seed) triple is an attack — what the campaign fuzzer mutates and the
+// corpus replays. Every named attack of the paper is such a Genome.
 //
-// The zoo subclasses remain for compatibility, but new call sites should
-// build adversaries declaratively via SimulationSpec::attack()
-// (spec/attack_spec.h); see DESIGN.md "Campaign search & predicates".
+// NamedAttack is the one map from an attack's name to its behaviour:
+// named_genome() turns "silent", "drop", "junk", "choke" or "selfveto" into
+// its genome. Behaviour no genome expresses (tree-frame forging, per-slot
+// coin flips, malformed frames) stays in the hand-written strategies of
+// attack/strategies.h. Declarative call sites place a genome through
+// SimulationSpec::attack() (spec/attack_spec.h); see DESIGN.md "Campaign
+// search & predicates".
 #pragma once
 
+#include <memory>
 #include <string>
 #include <string_view>
 
@@ -63,10 +68,10 @@ struct AttackPolicy {
 [[nodiscard]] TriggerState trigger_state(const AdversaryView& view,
                                          const ConfCtx& ctx);
 
-/// Any PolicyStrategy as data: participates honestly in tree formation
-/// (inherited — the profitable play, and the behavior the shared
-/// post-formation snapshot assumes), then runs `policy` in every slot whose
-/// trigger state satisfies `when`.
+/// An attack as data: participates honestly in tree formation (inherited —
+/// the profitable play, and the behavior the shared post-formation snapshot
+/// assumes), then runs `policy` in every slot whose trigger state satisfies
+/// `when`.
 class PredicatedStrategy final : public PolicyStrategy {
  public:
   explicit PredicatedStrategy(AttackPolicy policy,
@@ -83,5 +88,35 @@ class PredicatedStrategy final : public PolicyStrategy {
   AttackPolicy policy_;
   AttackPredicate when_;
 };
+
+/// One attack: a policy plus its trigger.
+struct Genome {
+  AttackPolicy policy{};
+  AttackPredicate when{};
+
+  /// A fresh PredicatedStrategy running this genome (default RNG seed).
+  [[nodiscard]] std::unique_ptr<PredicatedStrategy> strategy() const;
+};
+
+/// The attack families of the paper, each a policy plus its trigger.
+enum class NamedAttack : std::uint8_t {
+  kSilent,    ///< "silent": transmit nothing (Section IV-B dropping)
+  kDrop,      ///< "drop": forward the collected maximum, not the minimum
+  kJunk,      ///< "junk": spurious minima in aggregation slot 1, framing an
+              ///< honest neighbor (Figure 1 step 4)
+  kChoke,     ///< "choke": spurious vetoes in SOF slot 1 (Section IV-C)
+  kSelfVeto,  ///< "selfveto": hide reading 1, then veto it with a valid MAC
+              ///< in SOF slot 1 (Theorem 2's legitimate malicious veto)
+};
+
+/// The genome of `attack`; `lie` is how its key holders answer predicate
+/// tests.
+[[nodiscard]] Genome named_genome(NamedAttack attack,
+                                  LiePolicy lie = LiePolicy::kDenyAll);
+
+/// Text form: the quoted names above.
+[[nodiscard]] std::string_view to_string(NamedAttack attack);
+/// Inverse of to_string(); kInvalidArgument for any other name.
+[[nodiscard]] Expected<NamedAttack> named_attack(std::string_view name);
 
 }  // namespace vmat::campaign

@@ -137,20 +137,24 @@ void VmatCoordinator::form_tree(std::uint64_t session, int& rounds,
   formations_ += 1;
 }
 
-ExecutionOutcome VmatCoordinator::run_min(
-    const std::vector<Reading>& readings) {
+ValueTable VmatCoordinator::min_values(const std::vector<Reading>& readings) {
   if (config_.instances != 1)
-    throw std::logic_error("run_min requires instances == 1");
+    throw std::logic_error("run_min/resume_min require instances == 1");
   ValueTable values(static_cast<std::uint32_t>(readings.size()), 1, 0);
-  const ValueTable weights(static_cast<std::uint32_t>(readings.size()), 1, 0);
   for (std::size_t i = 0; i < readings.size(); ++i) {
+    const NodeId node{static_cast<std::uint32_t>(i)};
     Reading r = readings[i];
-    if (adversary_ != nullptr && adversary_->is_byzantine(NodeId{
-            static_cast<std::uint32_t>(i)}))
-      r = adversary_->strategy().own_reading(
-          NodeId{static_cast<std::uint32_t>(i)}, r);
+    if (adversary_ != nullptr && adversary_->is_byzantine(node))
+      r = adversary_->strategy().own_reading(node, r);
     values.data[i] = r;
   }
+  return values;
+}
+
+ExecutionOutcome VmatCoordinator::run_min(
+    const std::vector<Reading>& readings) {
+  const ValueTable values = min_values(readings);
+  const ValueTable weights(values.node_count, 1, 0);
   return execute(values, weights);
 }
 
@@ -272,7 +276,7 @@ ExecutionOutcome VmatCoordinator::run_query_phases(
     throw std::invalid_argument("execute: values/weights must cover all nodes");
 
   // Arm `(round>= N)` trigger predicates: one bump per execution, on every
-  // entry path (execute / run_query / resume_from).
+  // entry path (execute / run_query / resume_min).
   if (adversary_ != nullptr) adversary_->view().begin_execution_round();
 
   ExecutionOutcome out;
@@ -602,29 +606,13 @@ Snapshot VmatCoordinator::snapshot_after_formation() {
   return capture_snapshot(SnapshotKind::kExecutionPrefix, rounds, prefix);
 }
 
-ExecutionOutcome VmatCoordinator::resume_from(
-    const Snapshot& snapshot, const std::vector<std::vector<Reading>>& values,
-    const std::vector<std::vector<std::int64_t>>& weights,
-    const ContentValidator& validate, std::uint32_t instances) {
+ExecutionOutcome VmatCoordinator::resume_min(
+    const Snapshot& snapshot, const std::vector<Reading>& readings) {
+  const ValueTable values = min_values(readings);
+  const ValueTable weights(values.node_count, 1, 0);
   if (snapshot.kind() != SnapshotKind::kExecutionPrefix)
     throw std::invalid_argument(
-        "resume_from: not an execution-prefix snapshot (epoch snapshots "
-        "re-arm via rearm_epoch)");
-  const std::uint32_t inst = instances == 0 ? config_.instances : instances;
-  return resume_from(snapshot,
-                     ValueTable::from_nested(values, inst, kInfinity),
-                     ValueTable::from_nested(weights, inst, 0), validate,
-                     instances);
-}
-
-ExecutionOutcome VmatCoordinator::resume_from(const Snapshot& snapshot,
-                                              const ValueTable& values,
-                                              const ValueTable& weights,
-                                              const ContentValidator& validate,
-                                              std::uint32_t instances) {
-  if (snapshot.kind() != SnapshotKind::kExecutionPrefix)
-    throw std::invalid_argument(
-        "resume_from: not an execution-prefix snapshot (epoch snapshots "
+        "resume_min: not an execution-prefix snapshot (epoch snapshots "
         "re-arm via rearm_epoch)");
   restore_snapshot(snapshot, -1);
   // Mid-execution: the captured prefix already ran begin_execution() (its
@@ -635,26 +623,8 @@ ExecutionOutcome VmatCoordinator::resume_from(const Snapshot& snapshot,
     Network* net;
     ~TracerDetach() { net->set_tracer({}); }
   } detach{net_};
-  return run_query_phases(values, weights, validate,
-                          instances == 0 ? config_.instances : instances,
-                          tracer, snapshot.formation_rounds());
-}
-
-ExecutionOutcome VmatCoordinator::resume_min(
-    const Snapshot& snapshot, const std::vector<Reading>& readings) {
-  if (config_.instances != 1)
-    throw std::logic_error("resume_min requires instances == 1");
-  ValueTable values(static_cast<std::uint32_t>(readings.size()), 1, 0);
-  const ValueTable weights(static_cast<std::uint32_t>(readings.size()), 1, 0);
-  for (std::size_t i = 0; i < readings.size(); ++i) {
-    Reading r = readings[i];
-    if (adversary_ != nullptr && adversary_->is_byzantine(NodeId{
-            static_cast<std::uint32_t>(i)}))
-      r = adversary_->strategy().own_reading(
-          NodeId{static_cast<std::uint32_t>(i)}, r);
-    values.data[i] = r;
-  }
-  return resume_from(snapshot, values, weights);
+  return run_query_phases(values, weights, {}, 1, tracer,
+                          snapshot.formation_rounds());
 }
 
 bool VmatCoordinator::rearm_epoch() {

@@ -173,7 +173,7 @@ class VmatCoordinator {
   /// Run the shared execution prefix — fresh session nonce, authenticated
   /// announcement, tree formation (identical to execute()'s prefix) — and
   /// capture the complete post-formation state. The coordinator is left
-  /// mid-execution; finish it any number of times with resume_from(), on
+  /// mid-execution; finish it any number of times with resume_min(), on
   /// this coordinator or on any compatible one (same topology/keys/config;
   /// enforced by a fingerprint check). An attached recorder observes the
   /// prefix live here AND replayed by every restore — for one complete
@@ -184,25 +184,15 @@ class VmatCoordinator {
   /// tree-slot behavior), rebound via set_adversary().
   [[nodiscard]] Snapshot snapshot_after_formation();
 
-  /// Finish an execution from a kExecutionPrefix snapshot: restore the
-  /// captured state and run the query phases (aggregation → confirmation →
-  /// classification) over it. Bit-identical to the execute() that would
-  /// have run the same prefix: same nonce stream, same stats, and — with a
-  /// recorder attached — the same event stream, because the captured
-  /// prefix events are replayed into the sink before the live phases run.
-  /// `instances` overrides config().instances (0 = config value).
-  [[nodiscard]] ExecutionOutcome resume_from(
-      const Snapshot& snapshot,
-      const std::vector<std::vector<Reading>>& values,
-      const std::vector<std::vector<std::int64_t>>& weights,
-      const ContentValidator& validate = {}, std::uint32_t instances = 0);
-  [[nodiscard]] ExecutionOutcome resume_from(
-      const Snapshot& snapshot, const ValueTable& values,
-      const ValueTable& weights, const ContentValidator& validate = {},
-      std::uint32_t instances = 0);
-
-  /// run_min()'s fork twin: same per-node reading preparation (byzantine
-  /// own_reading substitution included), finished via resume_from().
+  /// Finish a MIN execution from a kExecutionPrefix snapshot: prepare the
+  /// readings as run_min() does (Byzantine own_reading substitution
+  /// included), restore the captured state, and run the query phases
+  /// (aggregation → confirmation → classification) over it. Bit-identical
+  /// to the run_min() that would have run the same prefix: same nonce
+  /// stream, same stats, and — with a recorder attached — the same event
+  /// stream, because the captured prefix events are replayed into the sink
+  /// before the live phases run. Throws std::invalid_argument for an epoch
+  /// snapshot, an empty one, or one from an incompatible deployment.
   [[nodiscard]] ExecutionOutcome resume_min(
       const Snapshot& snapshot, const std::vector<Reading>& readings);
 
@@ -252,6 +242,11 @@ class VmatCoordinator {
   /// flooding round of choke-resistant authenticated broadcast.
   void authenticated_broadcast(const Bytes& payload, int& rounds,
                                Tracer tracer);
+
+  /// run_min()'s and resume_min()'s one-instance value table: each node's
+  /// reading, a Byzantine node's replaced by its strategy's own_reading().
+  /// Throws std::logic_error unless instances == 1.
+  [[nodiscard]] ValueTable min_values(const std::vector<Reading>& readings);
 
   /// Announcement broadcast + tree formation for `session` (fills tree_).
   void form_tree(std::uint64_t session, int& rounds, Tracer tracer);

@@ -12,6 +12,7 @@
 #include <utility>
 
 #include "attack/strategies.h"
+#include "campaign/strategy.h"
 
 namespace vmat::serve {
 
@@ -71,7 +72,8 @@ Daemon::Daemon(ServeOptions options, ThreadPool* pool)
                                    options_.seed + 17 + t);
     std::unique_ptr<AdversaryStrategy> strategy;
     if (tenant.disrupted)
-      strategy = std::make_unique<ChokeVetoStrategy>(LiePolicy::kDenyAll);
+      strategy =
+          campaign::named_genome(campaign::NamedAttack::kChoke).strategy();
     else
       strategy = std::make_unique<NullStrategy>();
     tenant.adversary = std::make_unique<Adversary>(tenant.net.get(), malicious,

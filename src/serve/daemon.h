@@ -43,14 +43,14 @@ struct ServeOptions {
   std::uint32_t nodes{36};
   TopologyKind topology{TopologyKind::kGrid};
   std::uint32_t instances{24};
-  /// The first `adversary_tenants` tenants host a ChokeVeto adversary
+  /// The first `adversary_tenants` tenants host a choke-veto adversary
   /// compromising `f` nodes each — the disrupted-tenant fraction knob.
   std::uint32_t adversary_tenants{0};
   std::uint32_t f{2};
   /// Revocation threshold (theta). 1 by default so a persistently
   /// disrupting adversary is neutralized after a couple of executions and
   /// the tenant resumes answering; 0 (key-only revocation) can take
-  /// hundreds of executions to starve a ChokeVeto adversary out.
+  /// hundreds of executions to starve a choke-veto adversary out.
   std::uint32_t theta{1};
   std::uint64_t seed{1};
   /// Per-tenant engine tuning (admission window, queue depth, deadlines).

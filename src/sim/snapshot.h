@@ -156,7 +156,7 @@ class SnapshotReader {
 
 /// What execution point a snapshot captures.
 enum class SnapshotKind : std::uint8_t {
-  /// Mid-execution, right after tree formation: resume_from() finishes the
+  /// Mid-execution, right after tree formation: resume_min() finishes the
   /// execution (query phases) many times over, once per fork.
   kExecutionPrefix = 1,
   /// A served epoch at prepare_epoch(): rearm_epoch() re-serves the formed

@@ -11,7 +11,7 @@ std::vector<Error> AttackSpec::validate(std::uint32_t nodes) const {
   if (compromised_ == 0)
     errors.push_back({ErrorCode::kInvalidSpec,
                       "attack.compromised: must compromise at least one "
-                      "sensor (use passthrough() for a dormant adversary)"});
+                      "sensor (declare no attack section for none)"});
   if (nodes > 0 && compromised_ >= nodes)
     errors.push_back(
         {ErrorCode::kInvalidSpec,
@@ -28,14 +28,9 @@ Expected<std::unique_ptr<Adversary>> AttackSpec::build(Network& net) const {
   try {
     std::unordered_set<NodeId> malicious =
         choose_malicious(net.topology(), compromised_, placement_seed_);
-    std::unique_ptr<AdversaryStrategy> strategy;
-    if (passthrough_)
-      strategy = std::make_unique<NullStrategy>();
-    else
-      strategy = std::make_unique<campaign::PredicatedStrategy>(
-          policy_, when_, strategy_seed_);
-    return std::make_unique<Adversary>(&net, std::move(malicious),
-                                       std::move(strategy));
+    return std::make_unique<Adversary>(
+        &net, std::move(malicious),
+        std::make_unique<campaign::PredicatedStrategy>(policy_, when_));
   } catch (const std::exception& e) {
     return Error{ErrorCode::kInvalidSpec,
                  std::string("attack placement failed: ") + e.what()};

@@ -2,27 +2,23 @@
 //
 //   vmat::SimulationSpec spec;
 //   spec.nodes(100).seed(1);
-//   spec.attack()
-//       .compromised(4)
-//       .policy({.agg = vmat::campaign::AggAction::kInjectJunk})
-//       .when(vmat::campaign::AttackPredicate::slot_at_least(1) &&
-//             !vmat::campaign::AttackPredicate::slot_at_least(2));
+//   const vmat::campaign::Genome junk =
+//       vmat::campaign::named_genome(vmat::campaign::NamedAttack::kJunk);
+//   spec.attack().compromised(4).policy(junk.policy).when(junk.when);
 //   vmat::Network net(spec);
 //   vmat::Expected<std::unique_ptr<vmat::Adversary>> adversary =
 //       spec.attack_section()->build(net);
 //
 // Malicious placement (choose_malicious under placement_seed, keeping the
 // honest subgraph connected), the action policy, and the trigger predicate
-// are all data; validate() reports typed errors instead of throwing.
-// Building an Adversary by wiring a PolicyStrategy subclass directly is the
-// deprecated path — kept for the zoo, but new call sites should describe
-// the attack here (see DESIGN.md "Campaign search & predicates").
+// are all data; validate() reports typed errors instead of throwing. The
+// strategies no genome expresses (attack/strategies.h) are placed by
+// constructing an Adversary directly.
 #pragma once
 
 #include <memory>
 #include <vector>
 
-#include "attack/strategies.h"
 #include "campaign/predicate.h"
 #include "campaign/strategy.h"
 #include "util/error.h"
@@ -53,22 +49,6 @@ class AttackSpec {
     when_ = std::move(predicate);
     return *this;
   }
-  /// Keyed-predicate-test answer policy (shorthand for policy().lie).
-  AttackSpec& lie(LiePolicy policy) {
-    policy_.lie = policy;
-    return *this;
-  }
-  /// Seed for the strategy RNG (LiePolicy::kRandom answers).
-  AttackSpec& strategy_seed(std::uint64_t seed) {
-    strategy_seed_ = seed;
-    return *this;
-  }
-  /// Dormant adversary: compromised sensors behave honestly (the no-attack
-  /// control). The policy/predicate are ignored.
-  AttackSpec& passthrough(bool on) {
-    passthrough_ = on;
-    return *this;
-  }
 
   // --- getters ---
 
@@ -84,18 +64,14 @@ class AttackSpec {
   [[nodiscard]] const campaign::AttackPredicate& when() const noexcept {
     return when_;
   }
-  [[nodiscard]] std::uint64_t strategy_seed() const noexcept {
-    return strategy_seed_;
-  }
-  [[nodiscard]] bool passthrough() const noexcept { return passthrough_; }
 
   /// Typed validation against the deployment's sensor count. Empty = valid.
   [[nodiscard]] std::vector<Error> validate(std::uint32_t nodes) const;
 
   /// Place the adversary on `net`: choose_malicious placement + a
-  /// PredicatedStrategy from (policy, when, strategy_seed) — or a dormant
-  /// NullStrategy under passthrough(). Returns a typed error when the spec
-  /// is invalid for this deployment or no connected placement exists.
+  /// PredicatedStrategy running (policy, when). Returns a typed error when
+  /// the spec is invalid for this deployment or no connected placement
+  /// exists.
   [[nodiscard]] Expected<std::unique_ptr<Adversary>> build(Network& net) const;
 
   friend bool operator==(const AttackSpec&, const AttackSpec&) = default;
@@ -105,8 +81,6 @@ class AttackSpec {
   std::uint64_t placement_seed_{17};
   campaign::AttackPolicy policy_{};
   campaign::AttackPredicate when_{};
-  std::uint64_t strategy_seed_{7};
-  bool passthrough_{false};
 };
 
 }  // namespace vmat

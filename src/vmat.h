@@ -16,13 +16,13 @@
 //   auto results = engine.run_batch(std::move(batch));
 //
 // The per-layer section types (NetworkSpec, CoordinatorSpec, ...) remain
-// available for fine-grained construction. Adversaries are described
-// declaratively through the spec's attack section (spec/attack_spec.h);
-// wiring a PolicyStrategy subclass directly is the deprecated path.
+// available for fine-grained construction. An attack is a genome — a named
+// one (campaign::named_genome) or any (policy, predicate, seed) triple —
+// placed through the spec's attack section (spec/attack_spec.h);
+// attack/strategies.h keeps only the behaviour no genome expresses.
 #pragma once
 
 #include "attack/adversary.h"        // IWYU pragma: export
-#include "attack/composite.h"        // IWYU pragma: export
 #include "attack/strategies.h"       // IWYU pragma: export
 #include "baseline/sampling.h"       // IWYU pragma: export
 #include "baseline/send_all.h"       // IWYU pragma: export

@@ -6,6 +6,7 @@
 
 #include "attack/adversary.h"
 #include "attack/strategies.h"
+#include "campaign/strategy.h"
 #include "core/coordinator.h"
 #include "engine/engine.h"
 #include "sim/network.h"

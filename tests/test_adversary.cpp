@@ -9,11 +9,14 @@
 #include <unordered_set>
 
 #include "attack/adversary.h"
-#include "attack/strategies.h"
+#include "campaign/strategy.h"
 #include "sim/network.h"
 
 namespace vmat {
 namespace {
+
+using campaign::named_genome;
+using campaign::NamedAttack;
 
 /// Sparse rings (P(two rings share a key) ~ 0.36), so many grid edges
 /// need path keys and many targets share no ring key with the adversary.
@@ -76,7 +79,7 @@ TEST(AdversaryKeys, CachedKeySetMatchesScanThroughKeyChanges) {
   const std::unordered_set<NodeId> malicious{NodeId{9}, NodeId{24},
                                              NodeId{38}};
   Adversary adversary(&net, malicious,
-                      std::make_unique<SilentDropStrategy>());
+                      named_genome(NamedAttack::kSilent).strategy());
   EXPECT_GT(expect_matches_reference(net, adversary), 0u);
 
   // Path keys bump the key generation; adjacent targets with no shared

@@ -11,6 +11,8 @@
 namespace vmat {
 namespace {
 
+using campaign::named_genome;
+using campaign::NamedAttack;
 using testing::default_readings;
 using testing::dense_keys;
 
@@ -139,7 +141,8 @@ TEST(Aggregation, InfinityValueContributesNothing) {
 TEST(Aggregation, SilentDropLosesDeepValuesOnALine) {
   // Line 0-1-2-3-4-5 with malicious 2: everything behind it is cut off.
   Network net(Topology::line(6), dense_keys());
-  Adversary adv(&net, {NodeId{2}}, std::make_unique<SilentDropStrategy>());
+  Adversary adv(&net, {NodeId{2}},
+                named_genome(NamedAttack::kSilent).strategy());
   AggFixture fx(Topology::line(6), nullptr);  // honest tree for levels
   // Re-run with the adversary present end to end.
   AggFixture fx2(Topology::line(6), &adv);
@@ -151,7 +154,7 @@ TEST(Aggregation, SilentDropLosesDeepValuesOnALine) {
 
 TEST(Aggregation, ValueDropForwardsMaxInstead) {
   Network net(Topology::line(6), dense_keys());
-  auto strategy = std::make_unique<ValueDropStrategy>();
+  auto strategy = named_genome(NamedAttack::kDrop).strategy();
   Adversary adv(&net, {NodeId{3}}, std::move(strategy));
   AggFixture fx(Topology::line(6), &adv);
   auto readings = default_readings(6);
@@ -167,7 +170,8 @@ TEST(Aggregation, MultipathSurvivesSingleSilentParent) {
   // min because siblings carry it around.
   const auto topo = Topology::grid(5, 5);
   Network net(topo, dense_keys());
-  Adversary adv(&net, {NodeId{6}}, std::make_unique<SilentDropStrategy>());
+  Adversary adv(&net, {NodeId{6}},
+                named_genome(NamedAttack::kSilent).strategy());
   TreePhaseParams tp;
   tp.depth_bound = net.physical_depth();
   tp.session = 3;

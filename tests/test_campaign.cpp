@@ -1,6 +1,7 @@
 // Campaign-layer tests: predicate algebra (purity, De Morgan, parse
 // round-trips), policy/corpus serialization, the declarative AttackSpec
-// (validation + zoo equivalence), and the CampaignRunner fuzzer contract —
+// (validation), the named-attack table (pinned digests, typed lookup), and
+// the CampaignRunner fuzzer contract —
 // fixed (seed, budget) is fully deterministic, fork probes match scratch
 // probes bit-for-bit, and corpus entries replay to the same outcome digest
 // for any intra-execution thread count.
@@ -29,6 +30,8 @@ using campaign::CampaignConfig;
 using campaign::CampaignEntry;
 using campaign::CampaignRunner;
 using campaign::Corpus;
+using campaign::named_genome;
+using campaign::NamedAttack;
 
 /// Override intra-execution threads for one scope, restoring the default.
 class ScopedThreads {
@@ -223,36 +226,112 @@ TEST(AttackSpec, ValidatesAgainstDeployment) {
   EXPECT_EQ(built.value()->malicious().size(), 2u);
 }
 
-TEST(AttackSpec, PredicatedStrategyMatchesZooSubclass) {
-  // The declarative genome {agg: junk, frame: 0, when: first slot} must be
-  // bit-identical to the hand-written JunkInjectStrategy it subsumes.
-  const auto run = [](bool declarative) {
-    const auto topo = Topology::grid(6, 6);
-    Network net(topo, testing::dense_keys());
-    std::unique_ptr<Adversary> adv;
-    if (declarative) {
-      AttackSpec attack;
-      attack.compromised(2).placement_seed(13);
-      attack.policy({.agg = campaign::AggAction::kInjectJunk,
-                     .frame_honest_origin = false});
-      attack.when(AttackPredicate::slot_at_least(1) &&
-                  !AttackPredicate::slot_at_least(2));
-      auto built = attack.build(net);
-      EXPECT_TRUE(built.has_value());
-      adv = std::move(built.value());
-    } else {
-      adv = std::make_unique<Adversary>(
-          &net, choose_malicious(topo, 2, 13),
-          std::make_unique<JunkInjectStrategy>(LiePolicy::kDenyAll, false));
+/// Digest folds of every named attack, recorded through the hand-written
+/// strategy classes these genomes replaced. Junk appears twice: framing an
+/// honest neighbor, then under its own name. Columns: deny, admit and
+/// random lies.
+struct PinnedDigests {
+  NamedAttack attack;
+  bool frame_honest_origin;
+  std::uint64_t dense_grid[3];
+  std::uint64_t sparse_geometric[3];
+};
+
+constexpr PinnedDigests kPinnedDigests[] = {
+    {NamedAttack::kSilent,
+     true,
+     {0xfcea671ff86403f8, 0xc93068a499115524, 0xd001783fb8fc2050},
+     {0x853456eed5ea41c3, 0x892f0c62e6e3a15a, 0x17f2f39170ebe79c}},
+    {NamedAttack::kDrop,
+     true,
+     {0x5fba526a3a566b70, 0x93719d7782932aeb, 0x3e9dbf722a18b19b},
+     {0x1d832300605f7a3b, 0x422825fba2e74594, 0x78862c320d5c4a9d}},
+    {NamedAttack::kJunk,
+     true,
+     {0x00cd45ceafa50a0d, 0x9343303577dca222, 0xaae72fd3663db14e},
+     {0x93beb6be73b15aed, 0xf31ab199fafd619a, 0xe0b7b8464bfc983d}},
+    {NamedAttack::kJunk,
+     false,
+     {0x00cd45ceafa50a0d, 0x9343303577dca222, 0xaae72fd3663db14e},
+     {0x93beb6be73b15aed, 0xf31ab199fafd619a, 0xe0b7b8464bfc983d}},
+    {NamedAttack::kChoke,
+     true,
+     {0x8749d54de55dd75a, 0xc31fa736b92ad00b, 0x89922c49ba72fe8b},
+     {0x5327886518ce9bce, 0xfc9e70d52e30d086, 0xd0b39c2e4cfb43ce}},
+    {NamedAttack::kSelfVeto,
+     true,
+     {0xf8573d20227b8cfb, 0xf6ab8fec1ca7101f, 0xdf0d2908114a5c49},
+     {0xe11d812d79fb8570, 0xcb4e5739b36d3c1d, 0x332c57b6b4a03c7b}},
+};
+
+/// Twelve run_min executions of `genome`, placed through AttackSpec, with
+/// the minimum held by a different sensor each time; folds their outcome
+/// digests and the final revocation counts. The dense 6x6 grid has 2
+/// compromised sensors; the sparse 60-sensor geometric deployment (rings
+/// r=40 of u=800, path keys, theta=8) has 3.
+std::uint64_t digest_fold(bool sparse, const campaign::Genome& genome) {
+  constexpr std::uint64_t kSeed = 3;
+  const Topology topo = sparse ? Topology::random_geometric(60, 0.32, kSeed)
+                               : Topology::grid(6, 6);
+  NetworkSpec keys = testing::dense_keys(0, kSeed);
+  if (sparse) {
+    keys.keys.pool_size = 800;
+    keys.keys.ring_size = 40;
+    keys.revocation_threshold = 8;
+  }
+  Network net(topo, keys);
+  if (sparse) (void)net.establish_path_keys();
+  AttackSpec attack;
+  attack.compromised(sparse ? 3 : 2)
+      .placement_seed(kSeed + 5)
+      .policy(genome.policy)
+      .when(genome.when);
+  auto adversary = attack.build(net);
+  if (!adversary.has_value()) return 0;
+  CoordinatorSpec cfg;
+  cfg.depth_bound = topo.depth(adversary.value()->malicious()) + 2;
+  cfg.seed = kSeed;
+  VmatCoordinator coordinator(&net, adversary.value().get(), cfg);
+  const std::uint32_t n = net.node_count();
+  std::vector<Reading> readings(n);
+  std::uint64_t fold = 0;
+  for (std::uint32_t e = 0; e < 12; ++e) {
+    for (std::uint32_t id = 0; id < n; ++id)
+      readings[id] = 100 + static_cast<Reading>((id * 37 + e * 11) % n);
+    fold = snapshot_mix(
+        fold, campaign::outcome_digest(coordinator.run_min(readings)));
+  }
+  fold = snapshot_mix(fold, net.revocation().revoked_key_count());
+  return snapshot_mix(fold, net.revocation().revoked_sensors_in_order().size());
+}
+
+TEST(NamedAttack, GenomesReproducePinnedDigests) {
+  const LiePolicy lies[] = {LiePolicy::kDenyAll, LiePolicy::kAdmitAll,
+                            LiePolicy::kRandom};
+  for (const PinnedDigests& pinned : kPinnedDigests) {
+    for (std::size_t lie = 0; lie < 3; ++lie) {
+      campaign::Genome genome = named_genome(pinned.attack, lies[lie]);
+      genome.policy.frame_honest_origin = pinned.frame_honest_origin;
+      const std::string label = campaign::to_text(genome.policy);
+      EXPECT_EQ(digest_fold(false, genome), pinned.dense_grid[lie]) << label;
+      EXPECT_EQ(digest_fold(true, genome), pinned.sparse_geometric[lie])
+          << label;
     }
-    CoordinatorSpec cfg;
-    cfg.depth_bound = topo.depth(adv->malicious()) + 2;
-    VmatCoordinator coordinator(&net, adv.get(), cfg);
-    const auto out =
-        coordinator.run_min(testing::default_readings(net.node_count()));
-    return campaign::outcome_digest(out);
-  };
-  EXPECT_EQ(run(true), run(false));
+  }
+}
+
+TEST(NamedAttack, NamesRoundTripAndUnknownNamesAreTyped) {
+  for (const NamedAttack attack :
+       {NamedAttack::kSilent, NamedAttack::kDrop, NamedAttack::kJunk,
+        NamedAttack::kChoke, NamedAttack::kSelfVeto}) {
+    const auto parsed = campaign::named_attack(campaign::to_string(attack));
+    ASSERT_TRUE(parsed.has_value()) << campaign::to_string(attack);
+    EXPECT_EQ(parsed.value(), attack);
+  }
+  const auto unknown = campaign::named_attack("wormhole");
+  ASSERT_FALSE(unknown.has_value());
+  EXPECT_EQ(unknown.error().code, ErrorCode::kInvalidArgument);
+  EXPECT_NE(unknown.error().message.find("'wormhole'"), std::string::npos);
 }
 
 /// The shared deployment every fuzzer test below searches: sparse rings so

@@ -1,15 +1,18 @@
-// Composite and fuzzing adversary tests: multi-front attacks keep the
-// Theorem 7 disjunction; pure garbage never perturbs results or triggers
-// revocation of anything.
+// Multi-front and fuzzing adversary tests: one genome attacking aggregation,
+// confirmation and predicate tests at once keeps the Theorem 7 disjunction;
+// pure garbage never perturbs results or triggers revocation of anything.
+// The tree-formation front is covered by the RandomByzantine sweeps
+// (test_properties.cpp) and the Garbage tests here.
 #include <gtest/gtest.h>
 
-#include "attack/composite.h"
 #include "core/coordinator.h"
 #include "helpers.h"
 
 namespace vmat {
 namespace {
 
+using campaign::named_genome;
+using campaign::NamedAttack;
 using testing::default_readings;
 using testing::dense_keys;
 using testing::revocations_sound;
@@ -55,40 +58,51 @@ TEST(Garbage, NoiseDoesNotBreakSynopsisQueries) {
   EXPECT_TRUE(revocations_sound(net, malicious));
 }
 
-TEST(Composite, WormholePlusDropPlusLies) {
+/// Compromised sensors that never transmit, not even in tree formation, and
+/// deny every predicate test.
+struct SilentEverywhere final : AdversaryStrategy {};
+
+/// Run the same MIN query until it produces a result (Theorem 7: each
+/// execution that does not revokes adversary material).
+std::vector<ExecutionOutcome> until_result(
+    VmatCoordinator& coordinator, const std::vector<Reading>& readings) {
+  std::vector<std::vector<Reading>> values(readings.size());
+  std::vector<std::vector<std::int64_t>> weights(readings.size());
+  for (std::size_t id = 0; id < readings.size(); ++id) {
+    values[id] = {readings[id]};
+    weights[id] = {0};
+  }
+  return coordinator.run_until_result(values, weights, {}, 400);
+}
+
+TEST(Composite, DropPlusChokePlusAdmitLies) {
   const auto topo = Topology::grid(5, 5);
   const auto malicious = choose_malicious(topo, 3, 7);
   Network net(topo, dense_keys());
-  auto strategy = std::make_unique<CompositeStrategy>(
-      std::make_unique<WormholeStrategy>(50),
-      std::make_unique<ValueDropStrategy>(),
-      std::make_unique<ChokeVetoStrategy>(),
-      std::make_unique<SilentDropStrategy>(LiePolicy::kAdmitAll));
-  Adversary adv(&net, malicious, std::move(strategy));
+  // Forward the maximum in every aggregation slot, choke SOF slot 1, and
+  // admit every predicate test.
+  campaign::Genome genome =
+      named_genome(NamedAttack::kChoke, LiePolicy::kAdmitAll);
+  genome.policy.agg = campaign::AggAction::kForwardMax;
+  genome.when = campaign::AttackPredicate::phase_is(TracePhase::kAggregation) ||
+                genome.when;
+  Adversary adv(&net, malicious, genome.strategy());
   CoordinatorSpec cfg;
   cfg.depth_bound = topo.depth(malicious);
   VmatCoordinator coordinator(&net, &adv, cfg);
 
   const auto readings = default_readings(net.node_count());
-  std::vector<std::vector<Reading>> values(net.node_count());
-  std::vector<std::vector<std::int64_t>> weights(net.node_count());
-  for (std::uint32_t id = 0; id < net.node_count(); ++id) {
-    values[id] = {readings[id]};
-    weights[id] = {0};
-  }
-  const auto history = coordinator.run_until_result(values, weights, {}, 400);
+  const auto history = until_result(coordinator, readings);
   EXPECT_TRUE(history.back().produced_result());
   EXPECT_LE(history.back().minima[0], true_min(net, readings, malicious));
   EXPECT_TRUE(revocations_sound(net, malicious));
 }
 
-TEST(Composite, NullSubStrategiesAreSilent) {
+TEST(Composite, FullySilentAdversaryStaysSound) {
   const auto topo = Topology::grid(4, 4);
   const auto malicious = choose_malicious(topo, 2, 8);
   Network net(topo, dense_keys());
-  Adversary adv(&net, malicious,
-                std::make_unique<CompositeStrategy>(nullptr, nullptr, nullptr,
-                                                    nullptr));
+  Adversary adv(&net, malicious, std::make_unique<SilentEverywhere>());
   CoordinatorSpec cfg;
   cfg.depth_bound = topo.depth(malicious);
   VmatCoordinator coordinator(&net, &adv, cfg);
@@ -107,25 +121,17 @@ TEST(Composite, CompositeSweepAcrossSeeds) {
     const auto topo = Topology::grid(5, 5);
     const auto malicious = choose_malicious(topo, 2, seed + 20);
     Network net(topo, dense_keys(0, seed));
-    auto strategy = std::make_unique<CompositeStrategy>(
-        std::make_unique<GarbageStrategy>(seed),
-        std::make_unique<SilentDropStrategy>(),
-        std::make_unique<SelfVetoStrategy>(1),
-        std::make_unique<SilentDropStrategy>(LiePolicy::kRandom));
-    Adversary adv(&net, malicious, std::move(strategy));
+    // Drop everything, veto a hidden reading of 1 with a valid MAC, and
+    // answer predicate tests at random.
+    Adversary adv(&net, malicious,
+                  named_genome(NamedAttack::kSelfVeto, LiePolicy::kRandom)
+                      .strategy());
     CoordinatorSpec cfg;
     cfg.depth_bound = topo.depth(malicious);
     cfg.seed = seed;
     VmatCoordinator coordinator(&net, &adv, cfg);
-    const auto readings = default_readings(net.node_count());
-    std::vector<std::vector<Reading>> values(net.node_count());
-    std::vector<std::vector<std::int64_t>> weights(net.node_count());
-    for (std::uint32_t id = 0; id < net.node_count(); ++id) {
-      values[id] = {readings[id]};
-      weights[id] = {0};
-    }
     const auto history =
-        coordinator.run_until_result(values, weights, {}, 400);
+        until_result(coordinator, default_readings(net.node_count()));
     EXPECT_TRUE(history.back().produced_result()) << "seed " << seed;
     EXPECT_TRUE(revocations_sound(net, malicious)) << "seed " << seed;
   }

@@ -9,6 +9,8 @@
 namespace vmat {
 namespace {
 
+using campaign::named_genome;
+using campaign::NamedAttack;
 using testing::default_readings;
 using testing::dense_keys;
 
@@ -104,7 +106,8 @@ TEST(Confirmation, Lemma1HoldsUnderSilentMaliciousCut) {
     const auto topo = Topology::grid(5, 5);
     const auto malicious = choose_malicious(topo, 3, seed);
     Network net(topo, dense_keys());
-    Adversary adv(&net, malicious, std::make_unique<SilentDropStrategy>());
+    Adversary adv(&net, malicious,
+                  named_genome(NamedAttack::kSilent).strategy());
     TreePhaseParams tp;
     tp.depth_bound = topo.depth(malicious);
     tp.session = seed;
@@ -137,7 +140,7 @@ TEST(Confirmation, SpuriousVetoChokesButSomethingStillArrives) {
   const auto topo = Topology::grid(5, 5);
   const auto malicious = choose_malicious(topo, 3, 4);
   Network net(topo, dense_keys());
-  Adversary adv(&net, malicious, std::make_unique<ChokeVetoStrategy>());
+  Adversary adv(&net, malicious, named_genome(NamedAttack::kChoke).strategy());
   TreePhaseParams tp;
   tp.depth_bound = topo.depth(malicious);
   tp.session = 9;

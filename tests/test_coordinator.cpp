@@ -9,6 +9,8 @@
 namespace vmat {
 namespace {
 
+using campaign::named_genome;
+using campaign::NamedAttack;
 using testing::default_readings;
 using testing::dense_keys;
 using testing::revocations_sound;
@@ -63,7 +65,7 @@ TEST(Coordinator, NeverReturnsIncorrectResult) {
     const auto malicious = choose_malicious(topo, 3, seed);
     Network net(topo, dense_keys(0, seed));
     Adversary adv(&net, malicious,
-                  std::make_unique<ValueDropStrategy>(LiePolicy::kDenyAll));
+                  named_genome(NamedAttack::kDrop).strategy());
     CoordinatorSpec cfg;
     cfg.depth_bound = topo.depth(malicious);
     cfg.seed = seed;
@@ -88,29 +90,19 @@ TEST(Coordinator, RecoversFromEveryAttackFamily) {
     weights[id] = {0};
   }
 
-  using Factory = std::unique_ptr<AdversaryStrategy> (*)();
-  const std::pair<const char*, Factory> families[] = {
-      {"silent", +[]() -> std::unique_ptr<AdversaryStrategy> {
-         return std::make_unique<SilentDropStrategy>(LiePolicy::kDenyAll);
-       }},
-      {"value-drop", +[]() -> std::unique_ptr<AdversaryStrategy> {
-         return std::make_unique<ValueDropStrategy>(LiePolicy::kAdmitAll);
-       }},
-      {"junk", +[]() -> std::unique_ptr<AdversaryStrategy> {
-         return std::make_unique<JunkInjectStrategy>(LiePolicy::kDenyAll);
-       }},
-      {"choke", +[]() -> std::unique_ptr<AdversaryStrategy> {
-         return std::make_unique<ChokeVetoStrategy>(LiePolicy::kRandom);
-       }},
-      {"self-veto", +[]() -> std::unique_ptr<AdversaryStrategy> {
-         return std::make_unique<SelfVetoStrategy>(1, LiePolicy::kDenyAll);
-       }},
+  const std::pair<NamedAttack, LiePolicy> attacks[] = {
+      {NamedAttack::kSilent, LiePolicy::kDenyAll},
+      {NamedAttack::kDrop, LiePolicy::kAdmitAll},
+      {NamedAttack::kJunk, LiePolicy::kDenyAll},
+      {NamedAttack::kChoke, LiePolicy::kRandom},
+      {NamedAttack::kSelfVeto, LiePolicy::kDenyAll},
   };
 
-  for (const auto& [name, make] : families) {
+  for (const auto& [attack, lie] : attacks) {
+    const std::string_view name = campaign::to_string(attack);
     const auto malicious = choose_malicious(topo, 2, 17);
     Network net(topo, dense_keys(0, 99));
-    Adversary adv(&net, malicious, make());
+    Adversary adv(&net, malicious, named_genome(attack, lie).strategy());
     CoordinatorSpec cfg;
     cfg.depth_bound = topo.depth(malicious);
     VmatCoordinator coordinator(&net, &adv, cfg);
@@ -141,7 +133,7 @@ TEST(Coordinator, MultipathToleratesSingleDropperWithoutPinpointing) {
   const auto topo = Topology::grid(5, 5);
   Network net(topo, dense_keys());
   Adversary adv(&net, {NodeId{7}},
-                std::make_unique<SilentDropStrategy>(LiePolicy::kDenyAll));
+                named_genome(NamedAttack::kSilent).strategy());
   CoordinatorSpec cfg;
   cfg.multipath = true;
   cfg.depth_bound = topo.depth({NodeId{7}});

@@ -17,6 +17,8 @@
 namespace vmat {
 namespace {
 
+using campaign::named_genome;
+using campaign::NamedAttack;
 using testing::dense_keys;
 
 constexpr std::uint32_t kNodes = 36;
@@ -229,7 +231,7 @@ TEST(Engine, RunQueryWithoutEpochThrows) {
 TEST(Engine, ChokingAdversaryTriggersBackoffThenAnswers) {
   Network net(Topology::grid(6, 6), dense_keys());
   Adversary adv(&net, {NodeId{14}, NodeId{21}},
-                std::make_unique<ChokeVetoStrategy>());
+                named_genome(NamedAttack::kChoke).strategy());
   CoordinatorSpec cfg;
   cfg.instances = 40;
   VmatCoordinator coordinator(&net, &adv, cfg);
@@ -265,7 +267,8 @@ TEST(Engine, ChokingAdversaryTriggersBackoffThenAnswers) {
 
 TEST(Engine, DeadlineExceededUnderPersistentDisruption) {
   Network net(Topology::grid(6, 6), dense_keys());
-  Adversary adv(&net, {NodeId{14}}, std::make_unique<ChokeVetoStrategy>());
+  Adversary adv(&net, {NodeId{14}},
+                named_genome(NamedAttack::kChoke).strategy());
   CoordinatorSpec cfg;
   cfg.instances = 10;
   VmatCoordinator coordinator(&net, &adv, cfg);
@@ -294,7 +297,7 @@ TEST(Engine, SilentDroppersAreWornDownWithinDeadline) {
   const auto malicious = choose_malicious(topo, 2, 5);
   Network net(topo, dense_keys());
   Adversary adv(&net, malicious,
-                std::make_unique<SilentDropStrategy>(LiePolicy::kDenyAll));
+                named_genome(NamedAttack::kSilent).strategy());
   CoordinatorSpec cfg;
   cfg.instances = 40;
   cfg.depth_bound = topo.depth(malicious);
@@ -322,7 +325,7 @@ TEST(Engine, MaxUnderDropAttackIsNeverInflatedOrSilentlyLowered) {
   const auto malicious = choose_malicious(topo, 2, 4);
   Network net(topo, dense_keys());
   Adversary adv(&net, malicious,
-                std::make_unique<SilentDropStrategy>(LiePolicy::kDenyAll));
+                named_genome(NamedAttack::kSilent).strategy());
   CoordinatorSpec cfg;
   cfg.instances = 1;
   cfg.depth_bound = topo.depth(malicious);
@@ -431,7 +434,7 @@ TEST(Engine, TakeReadyMidServeKeepsOpenQueryPayloadsIntact) {
   // exactly the daemon's poll-between-rounds pattern under disruption.
   Network net(Topology::grid(6, 6), dense_keys());
   Adversary adv(&net, {NodeId{14}, NodeId{21}},
-                std::make_unique<ChokeVetoStrategy>());
+                named_genome(NamedAttack::kChoke).strategy());
   CoordinatorSpec cfg;
   cfg.instances = 40;
   VmatCoordinator coordinator(&net, &adv, cfg);
@@ -462,7 +465,8 @@ TEST(Engine, TakeReadyMidServeKeepsOpenQueryPayloadsIntact) {
 
 TEST(Engine, StepSettlesEverythingOnceRoundBudgetExhausts) {
   Network net(Topology::grid(6, 6), dense_keys());
-  Adversary adv(&net, {NodeId{14}}, std::make_unique<ChokeVetoStrategy>());
+  Adversary adv(&net, {NodeId{14}},
+                named_genome(NamedAttack::kChoke).strategy());
   CoordinatorSpec cfg;
   cfg.instances = 10;
   VmatCoordinator coordinator(&net, &adv, cfg);
@@ -492,7 +496,8 @@ TEST(Engine, DeadlineOnDisruptedRoundSettlesExactlyOnce) {
   // invalidates the epoch. The query must settle kDeadlineExceeded exactly
   // once — not get retried on the re-formed epoch, not settle twice.
   Network net(Topology::grid(6, 6), dense_keys());
-  Adversary adv(&net, {NodeId{14}}, std::make_unique<ChokeVetoStrategy>());
+  Adversary adv(&net, {NodeId{14}},
+                named_genome(NamedAttack::kChoke).strategy());
   CoordinatorSpec cfg;
   cfg.instances = 10;
   VmatCoordinator coordinator(&net, &adv, cfg);

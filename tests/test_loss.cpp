@@ -10,6 +10,8 @@
 namespace vmat {
 namespace {
 
+using campaign::named_genome;
+using campaign::NamedAttack;
 using testing::default_readings;
 using testing::revocations_sound;
 using testing::true_min;
@@ -84,7 +86,7 @@ TEST(Loss, AdversaryUnderLossStillSoundlyRevoked) {
   const auto malicious = choose_malicious(topo, 2, 3);
   Network net(topo, lossy_keys(0.05, 4));
   Adversary adv(&net, malicious,
-                std::make_unique<SilentDropStrategy>(LiePolicy::kDenyAll));
+                named_genome(NamedAttack::kSilent).strategy());
   CoordinatorSpec cfg;
   cfg.depth_bound = topo.depth(malicious);
   VmatCoordinator coordinator(&net, &adv, cfg);

@@ -21,6 +21,9 @@
 namespace vmat {
 namespace {
 
+using campaign::named_genome;
+using campaign::NamedAttack;
+
 constexpr std::size_t kTrials = 96;
 
 /// A trial body with enough RNG traffic to interleave threads for real.
@@ -151,7 +154,7 @@ TEST(ParallelTsan, LevelParallelAdversarialRunStaysSoundAndIdentical) {
     Network net(topo, testing::dense_keys());
     const auto malicious = choose_malicious(topo, 2, 13);
     Adversary adv(&net, malicious,
-                  std::make_unique<SilentDropStrategy>(LiePolicy::kDenyAll));
+                  named_genome(NamedAttack::kSilent).strategy());
     CoordinatorSpec cfg;
     cfg.depth_bound = topo.depth(malicious);
     VmatCoordinator coordinator(&net, &adv, cfg);

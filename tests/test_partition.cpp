@@ -10,6 +10,8 @@
 namespace vmat {
 namespace {
 
+using campaign::named_genome;
+using campaign::NamedAttack;
 using testing::default_readings;
 using testing::dense_keys;
 
@@ -43,7 +45,7 @@ TEST(Partition, TreeParticipatingCutVertexIsCaughtInstead) {
     // No detour: component answer.
     Network net(Topology::line(6), dense_keys());
     Adversary adv(&net, {NodeId{2}},
-                  std::make_unique<SilentDropStrategy>(LiePolicy::kDenyAll));
+                  named_genome(NamedAttack::kSilent).strategy());
     CoordinatorSpec cfg;
     cfg.depth_bound = 5;
     VmatCoordinator coordinator(&net, &adv, cfg);
@@ -62,7 +64,7 @@ TEST(Partition, TreeParticipatingCutVertexIsCaughtInstead) {
     topo.add_edge(NodeId{6}, NodeId{4});  // detour around node 2
     Network net(topo, dense_keys());
     Adversary adv(&net, {NodeId{2}},
-                  std::make_unique<SilentDropStrategy>(LiePolicy::kDenyAll));
+                  named_genome(NamedAttack::kSilent).strategy());
     CoordinatorSpec cfg;
     cfg.depth_bound = topo.depth({NodeId{2}});
     VmatCoordinator coordinator(&net, &adv, cfg);

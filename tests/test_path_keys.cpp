@@ -10,6 +10,8 @@
 namespace vmat {
 namespace {
 
+using campaign::named_genome;
+using campaign::NamedAttack;
 using testing::default_readings;
 using testing::revocations_sound;
 using testing::true_min;
@@ -133,7 +135,7 @@ TEST(PathKeys, PinpointingWalksAcrossPathKeys) {
   (void)net.establish_path_keys();
   const auto malicious = choose_malicious(topo, 2, 13);
   Adversary adv(&net, malicious,
-                std::make_unique<SilentDropStrategy>(LiePolicy::kDenyAll));
+                named_genome(NamedAttack::kSilent).strategy());
   CoordinatorSpec cfg;
   cfg.depth_bound = topo.depth(malicious);
   VmatCoordinator coordinator(&net, &adv, cfg);

@@ -12,6 +12,8 @@
 namespace vmat {
 namespace {
 
+using campaign::named_genome;
+using campaign::NamedAttack;
 using testing::default_readings;
 using testing::dense_keys;
 using testing::revocations_sound;
@@ -61,7 +63,7 @@ std::vector<Reading> forced_drop_readings() {
 
 TEST(Pinpoint, SilentDropIsRevokedViaVetoWalk) {
   Scenario s(forced_drop_topology(), {NodeId{2}},
-             std::make_unique<SilentDropStrategy>(LiePolicy::kDenyAll));
+             named_genome(NamedAttack::kSilent).strategy());
   const auto out = s.coordinator->run_min(forced_drop_readings());
   ASSERT_EQ(out.kind, OutcomeKind::kRevocation);
   EXPECT_EQ(out.trigger, Trigger::kVeto);
@@ -71,7 +73,8 @@ TEST(Pinpoint, SilentDropIsRevokedViaVetoWalk) {
 
 TEST(Pinpoint, AdmitAllDraggingStillEndsInSoundRevocation) {
   Scenario s(forced_drop_topology(), {NodeId{2}},
-             std::make_unique<SilentDropStrategy>(LiePolicy::kAdmitAll));
+             named_genome(NamedAttack::kSilent, LiePolicy::kAdmitAll)
+                 .strategy());
   const auto out = s.coordinator->run_min(forced_drop_readings());
   ASSERT_EQ(out.kind, OutcomeKind::kRevocation);
   EXPECT_TRUE(!out.revoked_keys.empty() || !out.revoked_sensors.empty())
@@ -82,7 +85,8 @@ TEST(Pinpoint, AdmitAllDraggingStillEndsInSoundRevocation) {
 TEST(Pinpoint, RandomAnswersStillEndInSoundRevocation) {
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
     Scenario s(forced_drop_topology(), {NodeId{2}},
-               std::make_unique<SilentDropStrategy>(LiePolicy::kRandom),
+               named_genome(NamedAttack::kSilent, LiePolicy::kRandom)
+                   .strategy(),
                1000 + seed);
     const auto out = s.coordinator->run_min(forced_drop_readings());
     ASSERT_EQ(out.kind, OutcomeKind::kRevocation) << "seed " << seed;
@@ -93,7 +97,7 @@ TEST(Pinpoint, RandomAnswersStillEndInSoundRevocation) {
 
 TEST(Pinpoint, ValueDropPinpointedToo) {
   Scenario s(forced_drop_topology(), {NodeId{2}},
-             std::make_unique<ValueDropStrategy>(LiePolicy::kDenyAll));
+             named_genome(NamedAttack::kDrop).strategy());
   const auto out = s.coordinator->run_min(forced_drop_readings());
   ASSERT_EQ(out.kind, OutcomeKind::kRevocation);
   EXPECT_EQ(out.trigger, Trigger::kVeto);
@@ -104,7 +108,7 @@ TEST(Pinpoint, JunkInjectionTriggersJunkWalk) {
   const auto topo = Topology::grid(4, 4);
   const auto malicious = choose_malicious(topo, 2, 7);
   Scenario s(topo, malicious,
-             std::make_unique<JunkInjectStrategy>(LiePolicy::kDenyAll));
+             named_genome(NamedAttack::kJunk).strategy());
   const auto out = s.coordinator->run_min(default_readings(16));
   ASSERT_EQ(out.kind, OutcomeKind::kRevocation);
   EXPECT_EQ(out.trigger, Trigger::kJunkAggregation);
@@ -115,8 +119,7 @@ TEST(Pinpoint, JunkInjectionWithFramingDoesNotHurtTheFramed) {
   const auto topo = Topology::grid(4, 4);
   const auto malicious = choose_malicious(topo, 2, 8);
   Scenario s(topo, malicious,
-             std::make_unique<JunkInjectStrategy>(LiePolicy::kAdmitAll,
-                                                  /*frame=*/true));
+             named_genome(NamedAttack::kJunk, LiePolicy::kAdmitAll).strategy());
   const auto out = s.coordinator->run_min(default_readings(16));
   ASSERT_EQ(out.kind, OutcomeKind::kRevocation);
   EXPECT_TRUE(revocations_sound(s.net, s.malicious_set)) << out.reason;
@@ -124,7 +127,7 @@ TEST(Pinpoint, JunkInjectionWithFramingDoesNotHurtTheFramed) {
 
 TEST(Pinpoint, ChokingAttackTriggersJunkConfirmationWalk) {
   Scenario s(forced_drop_topology(), {NodeId{2}},
-             std::make_unique<ChokeVetoStrategy>(LiePolicy::kDenyAll));
+             named_genome(NamedAttack::kChoke).strategy());
   const auto out = s.coordinator->run_min(forced_drop_readings());
   ASSERT_EQ(out.kind, OutcomeKind::kRevocation);
   EXPECT_EQ(out.trigger, Trigger::kJunkConfirmation);
@@ -135,8 +138,7 @@ TEST(Pinpoint, ValidSelfVetoFromMaliciousSensorIsWalkedSoundly) {
   const auto topo = Topology::grid(4, 4);
   const auto malicious = choose_malicious(topo, 1, 9);
   Scenario s(topo, malicious,
-             std::make_unique<SelfVetoStrategy>(/*hidden=*/1,
-                                                LiePolicy::kDenyAll));
+             named_genome(NamedAttack::kSelfVeto).strategy());
   const auto out = s.coordinator->run_min(default_readings(16));
   ASSERT_EQ(out.kind, OutcomeKind::kRevocation);
   EXPECT_EQ(out.trigger, Trigger::kVeto);
@@ -147,7 +149,7 @@ TEST(Pinpoint, HonestSensorsNeverRevokedAcrossManyRuns) {
   // Repeat executions against the dropper until it is fully neutralized;
   // no honest key material may ever be revoked.
   Scenario s(forced_drop_topology(), {NodeId{2}},
-             std::make_unique<SilentDropStrategy>(LiePolicy::kDenyAll));
+             named_genome(NamedAttack::kSilent).strategy());
   const auto readings = forced_drop_readings();
   std::vector<std::vector<Reading>> values(9);
   std::vector<std::vector<std::int64_t>> weights(9);
@@ -168,7 +170,7 @@ TEST(Pinpoint, HonestSensorsNeverRevokedAcrossManyRuns) {
 
 TEST(Pinpoint, ResultAfterRecoveryIsCorrect) {
   Scenario s(forced_drop_topology(), {NodeId{2}},
-             std::make_unique<SilentDropStrategy>(LiePolicy::kDenyAll));
+             named_genome(NamedAttack::kSilent).strategy());
   const auto readings = forced_drop_readings();
   std::vector<std::vector<Reading>> values(9);
   std::vector<std::vector<std::int64_t>> weights(9);
@@ -188,7 +190,7 @@ TEST(Pinpoint, MessageLevelPredicateModeGivesSameOutcome) {
   // flood instead of the reachability collapse: identical revocations.
   auto run_with = [&](PredicateTestMode mode) {
     Scenario s(forced_drop_topology(), {NodeId{2}},
-               std::make_unique<SilentDropStrategy>(LiePolicy::kDenyAll));
+               named_genome(NamedAttack::kSilent).strategy());
     CoordinatorSpec cfg = s.cfg;
     cfg.predicate_mode = mode;
     VmatCoordinator coordinator(&s.net, &s.adv, cfg);
@@ -205,7 +207,7 @@ TEST(Pinpoint, MessageLevelPredicateModeGivesSameOutcome) {
 
 TEST(Pinpoint, CostStaysWithinTheoremSixBounds) {
   Scenario s(forced_drop_topology(), {NodeId{2}},
-             std::make_unique<SilentDropStrategy>(LiePolicy::kDenyAll));
+             named_genome(NamedAttack::kSilent).strategy());
   const auto out = s.coordinator->run_min(forced_drop_readings());
   ASSERT_EQ(out.kind, OutcomeKind::kRevocation);
   // O(L log n) predicate tests: L+1 walk steps, each O(log r + log n)

@@ -16,6 +16,8 @@
 namespace vmat {
 namespace {
 
+using campaign::named_genome;
+using campaign::NamedAttack;
 using testing::default_readings;
 using testing::dense_keys;
 
@@ -248,7 +250,8 @@ TEST(PredicateEngine, PoolKeyTestReachesAllHolders) {
 TEST(PredicateEngine, ByzantineHolderCanFakeYes) {
   EngineFixture fx;
   Adversary adv(&fx.net, {NodeId{2}},
-                std::make_unique<SilentDropStrategy>(LiePolicy::kAdmitAll));
+                named_genome(NamedAttack::kSilent, LiePolicy::kAdmitAll)
+                    .strategy());
   CostMeter meter;
   PredicateTestEngine engine(&fx.net, &adv, &fx.audits, &meter);
   // Node 2 has no matching record (probe at absurd level), but admits.
@@ -259,7 +262,7 @@ TEST(PredicateEngine, ByzantineHolderCanFakeYes) {
 TEST(PredicateEngine, ByzantineHolderCanStonewall) {
   EngineFixture fx;
   Adversary adv(&fx.net, {NodeId{2}},
-                std::make_unique<SilentDropStrategy>(LiePolicy::kDenyAll));
+                named_genome(NamedAttack::kSilent).strategy());
   CostMeter meter;
   PredicateTestEngine engine(&fx.net, &adv, &fx.audits, &meter);
   // Node 2 does satisfy (it forwarded value 1 at level 2) but stays silent.
@@ -270,7 +273,8 @@ TEST(PredicateEngine, ByzantineHolderCanStonewall) {
 TEST(PredicateEngine, ByzantineCannotFakeForKeysItLacks) {
   EngineFixture fx;
   Adversary adv(&fx.net, {NodeId{2}},
-                std::make_unique<SilentDropStrategy>(LiePolicy::kAdmitAll));
+                named_genome(NamedAttack::kSilent, LiePolicy::kAdmitAll)
+                    .strategy());
   CostMeter meter;
   PredicateTestEngine engine(&fx.net, &adv, &fx.audits, &meter);
   // Sensor key of honest node 4, probe it does not satisfy: node 2 cannot
@@ -299,7 +303,7 @@ TEST(PredicateEngine, MessageLevelModeAgreesWithReachability) {
     std::optional<Adversary> adv;
     if (!c.malicious.empty())
       adv.emplace(&fx.net, c.malicious,
-                  std::make_unique<SilentDropStrategy>(c.policy));
+                  named_genome(NamedAttack::kSilent, c.policy).strategy());
     Adversary* adv_ptr = adv.has_value() ? &*adv : nullptr;
     for (Level level : {1, 2, 3, 4, 5, 99}) {
       for (Reading v_max : {Reading{1}, Reading{101}, Reading{1000}}) {
@@ -345,7 +349,7 @@ TEST(PredicateEngine, ReplyBlockedByByzantineCutFails) {
   // reach the base station (Byzantine nodes do not relay).
   EngineFixture fx;
   Adversary adv(&fx.net, {NodeId{1}},
-                std::make_unique<SilentDropStrategy>(LiePolicy::kDenyAll));
+                named_genome(NamedAttack::kSilent).strategy());
   CostMeter meter;
   PredicateTestEngine engine(&fx.net, &adv, &fx.audits, &meter);
   EXPECT_FALSE(engine.run(KeySpec::sensor_key(NodeId{4}),
@@ -353,7 +357,8 @@ TEST(PredicateEngine, ReplyBlockedByByzantineCutFails) {
   // But an injector adjacent to the reachable component succeeds: node 1
   // itself answering yes reaches the BS.
   Adversary adv2(&fx.net, {NodeId{1}},
-                 std::make_unique<SilentDropStrategy>(LiePolicy::kAdmitAll));
+                 named_genome(NamedAttack::kSilent, LiePolicy::kAdmitAll)
+                     .strategy());
   PredicateTestEngine engine2(&fx.net, &adv2, &fx.audits, &meter);
   EXPECT_TRUE(engine2.run(KeySpec::sensor_key(NodeId{1}),
                           fx.forwarded_probe(99, 1)));

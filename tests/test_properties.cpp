@@ -5,7 +5,8 @@
 //
 // Every sweep runs with the flight recorder attached and validates the
 // recorded stream with the trace-invariant checker, so the Lemma 1 /
-// Theorem 7 trace properties are exercised across the whole strategy zoo.
+// Theorem 7 trace properties are exercised across every named attack and
+// the RandomByzantine fuzzer.
 // Set VMAT_TRACE_DIR to export each recording as JSON (CI feeds these to
 // tools/check_trace.py).
 #include <gtest/gtest.h>
@@ -22,11 +23,16 @@
 namespace vmat {
 namespace {
 
+using campaign::named_genome;
+using campaign::NamedAttack;
 using testing::default_readings;
 using testing::dense_keys;
 using testing::revocations_sound;
 using testing::true_min;
 
+/// The sweep's attack column: the named genomes in NamedAttack order, then
+/// the coin-flip adversary no genome expresses. An int-sized enum, because
+/// the generated test names print each parameter's bytes.
 enum class Family {
   kSilent,
   kValueDrop,
@@ -35,6 +41,8 @@ enum class Family {
   kSelfVeto,
   kRandomByzantine,
 };
+static_assert(static_cast<int>(Family::kSelfVeto) ==
+              static_cast<int>(NamedAttack::kSelfVeto));
 
 std::string family_name(Family f) {
   switch (f) {
@@ -50,21 +58,9 @@ std::string family_name(Family f) {
 
 std::unique_ptr<AdversaryStrategy> make_strategy(Family f, LiePolicy policy,
                                                  std::uint64_t seed) {
-  switch (f) {
-    case Family::kSilent:
-      return std::make_unique<SilentDropStrategy>(policy);
-    case Family::kValueDrop:
-      return std::make_unique<ValueDropStrategy>(policy);
-    case Family::kJunk:
-      return std::make_unique<JunkInjectStrategy>(policy);
-    case Family::kChoke:
-      return std::make_unique<ChokeVetoStrategy>(policy);
-    case Family::kSelfVeto:
-      return std::make_unique<SelfVetoStrategy>(1, policy);
-    case Family::kRandomByzantine:
-      return std::make_unique<RandomByzantineStrategy>(seed);
-  }
-  return nullptr;
+  if (f == Family::kRandomByzantine)
+    return std::make_unique<RandomByzantineStrategy>(seed);
+  return named_genome(static_cast<NamedAttack>(f), policy).strategy();
 }
 
 /// Validate a sweep's recording against the trace invariants and, when
@@ -177,7 +173,8 @@ TEST_P(Theorem7Multipath, MultipathKeepsGuarantees) {
   const auto malicious = choose_malicious(topo, 3, seed);
   Network net(topo, dense_keys(0, seed));
   Adversary adv(&net, malicious,
-                std::make_unique<ValueDropStrategy>(LiePolicy::kRandom));
+                named_genome(NamedAttack::kDrop, LiePolicy::kRandom)
+                    .strategy());
   CoordinatorSpec cfg;
   cfg.depth_bound = topo.depth(malicious);
   cfg.multipath = true;
@@ -212,7 +209,7 @@ TEST_P(UnslottedSweep, UnslottedSofStillSoundlyRevokes) {
   const auto malicious = choose_malicious(topo, 2, seed);
   Network net(topo, dense_keys(0, seed));
   Adversary adv(&net, malicious,
-                std::make_unique<ChokeVetoStrategy>(LiePolicy::kDenyAll));
+                named_genome(NamedAttack::kChoke).strategy());
   CoordinatorSpec cfg;
   cfg.depth_bound = topo.depth(malicious);
   cfg.slotted_sof = false;

@@ -13,6 +13,8 @@
 namespace vmat {
 namespace {
 
+using campaign::named_genome;
+using campaign::NamedAttack;
 using testing::count_query;
 using testing::dense_keys;
 using testing::revocations_sound;
@@ -34,13 +36,13 @@ std::unique_ptr<AdversaryStrategy> make_strategy(Family f,
                                                  std::uint64_t seed) {
   switch (f) {
     case Family::kSilent:
-      return std::make_unique<SilentDropStrategy>(LiePolicy::kDenyAll);
+      return named_genome(NamedAttack::kSilent).strategy();
     case Family::kValueDrop:
-      return std::make_unique<ValueDropStrategy>(LiePolicy::kAdmitAll);
+      return named_genome(NamedAttack::kDrop, LiePolicy::kAdmitAll).strategy();
     case Family::kJunk:
-      return std::make_unique<JunkInjectStrategy>(LiePolicy::kRandom);
+      return named_genome(NamedAttack::kJunk, LiePolicy::kRandom).strategy();
     case Family::kChoke:
-      return std::make_unique<ChokeVetoStrategy>(LiePolicy::kDenyAll);
+      return named_genome(NamedAttack::kChoke).strategy();
     case Family::kRandom:
       return std::make_unique<RandomByzantineStrategy>(seed);
   }

@@ -9,6 +9,8 @@
 namespace vmat {
 namespace {
 
+using campaign::named_genome;
+using campaign::NamedAttack;
 using testing::default_readings;
 using testing::dense_keys;
 using testing::true_min;
@@ -56,7 +58,7 @@ TEST(Rekey, ProtocolRunsCleanAfterEpoch) {
   NetworkSpec cfg = dense_keys(0, 4);
   Network net(topo, cfg);
   Adversary adv(&net, malicious,
-                std::make_unique<SilentDropStrategy>(LiePolicy::kDenyAll));
+                named_genome(NamedAttack::kSilent).strategy());
   CoordinatorSpec vcfg;
   vcfg.depth_bound = topo.depth(malicious);
   VmatCoordinator coordinator(&net, &adv, vcfg);

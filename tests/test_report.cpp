@@ -7,6 +7,8 @@
 namespace vmat {
 namespace {
 
+using campaign::named_genome;
+using campaign::NamedAttack;
 using testing::default_readings;
 using testing::dense_keys;
 
@@ -37,7 +39,7 @@ TEST(Report, RevocationSummaryCarriesReason) {
   const auto malicious = choose_malicious(topo, 2, 7);
   Network net(topo, dense_keys());
   Adversary adv(&net, malicious,
-                std::make_unique<JunkInjectStrategy>(LiePolicy::kDenyAll));
+                named_genome(NamedAttack::kJunk).strategy());
   CoordinatorSpec cfg;
   cfg.depth_bound = topo.depth(malicious);
   VmatCoordinator coordinator(&net, &adv, cfg);

@@ -151,9 +151,9 @@ ThetaCampaignResult run_theta_campaign(std::uint32_t theta,
   Network net(topo, netcfg);
 
   const std::unordered_set<NodeId> malicious{attacker};
-  Adversary adv(&net, malicious,
-                std::make_unique<JunkInjectStrategy>(LiePolicy::kDenyAll,
-                                                     /*frame=*/false));
+  campaign::Genome junk = campaign::named_genome(campaign::NamedAttack::kJunk);
+  junk.policy.frame_honest_origin = false;
+  Adversary adv(&net, malicious, junk.strategy());
   CoordinatorSpec cfg;
   cfg.depth_bound = topo.depth(malicious) + 2;  // slack for sparse keying
   cfg.seed = seed;

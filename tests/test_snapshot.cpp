@@ -1,5 +1,5 @@
 // Copy-on-write snapshot tests: a fork (snapshot_after_formation +
-// resume_from) must be bit-identical to the execute() that would have run
+// resume_min) must be bit-identical to the run_min() that would have run
 // the same prefix — same stats, same trace stream, for any thread count —
 // and a re-armed epoch must continue the live nonce/ordinal streams. The
 // SnapshotParallel suite runs concurrent forks and is picked up by the
@@ -22,6 +22,8 @@
 namespace vmat {
 namespace {
 
+using campaign::named_genome;
+using campaign::NamedAttack;
 using testing::default_readings;
 using testing::dense_keys;
 using testing::revocations_sound;
@@ -147,29 +149,25 @@ TEST(Snapshot, DivergentStrategiesMatchScratch) {
   const std::unordered_set<NodeId> malicious{NodeId{7}, NodeId{12}};
   const auto readings = default_readings(25);
 
-  auto make_strategy = [](int which) -> std::unique_ptr<AdversaryStrategy> {
-    switch (which) {
-      case 0: return std::make_unique<SilentDropStrategy>();
-      case 1: return std::make_unique<ValueDropStrategy>();
-      case 2: return std::make_unique<ChokeVetoStrategy>();
-      default: return std::make_unique<SelfVetoStrategy>(Reading{1});
-    }
-  };
+  const NamedAttack attacks[] = {NamedAttack::kSilent, NamedAttack::kDrop,
+                                 NamedAttack::kChoke, NamedAttack::kSelfVeto};
 
   // One snapshot, formed under the factory strategy; every PolicyStrategy
   // shares the honest tree-slot behavior, so the prefix is strategy-blind.
   Network fork_net(topo, dense_keys());
-  Adversary factory_adv(&fork_net, malicious, make_strategy(0));
+  Adversary factory_adv(&fork_net, malicious,
+                        named_genome(NamedAttack::kSilent).strategy());
   VmatCoordinator forker(&fork_net, &factory_adv, CoordinatorSpec{});
   const Snapshot snapshot = forker.snapshot_after_formation();
 
-  for (int which = 0; which < 4; ++which) {
+  for (const NamedAttack attack : attacks) {
     Network scratch_net(topo, dense_keys());
-    Adversary scratch_adv(&scratch_net, malicious, make_strategy(which));
+    Adversary scratch_adv(&scratch_net, malicious,
+                          named_genome(attack).strategy());
     VmatCoordinator scratch(&scratch_net, &scratch_adv, CoordinatorSpec{});
     const auto want = scratch.run_min(readings);
 
-    Adversary fork_adv(&fork_net, malicious, make_strategy(which));
+    Adversary fork_adv(&fork_net, malicious, named_genome(attack).strategy());
     forker.set_adversary(&fork_adv);
     const auto got = forker.resume_min(snapshot, readings);
 

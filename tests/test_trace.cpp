@@ -27,6 +27,8 @@
 namespace vmat {
 namespace {
 
+using campaign::named_genome;
+using campaign::NamedAttack;
 using testing::default_readings;
 using testing::dense_keys;
 
@@ -134,7 +136,7 @@ ExecutionOutcome run_attacked(FlightRecorder* recorder) {
   const auto malicious = choose_malicious(topo, 3, 14);
   Network net(topo, dense_keys());
   Adversary adv(&net, malicious,
-                std::make_unique<ChokeVetoStrategy>(LiePolicy::kDenyAll));
+                named_genome(NamedAttack::kChoke).strategy());
   CoordinatorSpec cfg;
   cfg.depth_bound = topo.depth(malicious);
   VmatCoordinator coordinator(&net, &adv, cfg);

@@ -9,6 +9,8 @@
 namespace vmat {
 namespace {
 
+using campaign::named_genome;
+using campaign::NamedAttack;
 using testing::dense_keys;
 
 TreeResult form(Network& net, Adversary* adv, TreeMode mode, Level L,
@@ -98,7 +100,7 @@ TEST(TreeFormation, SilentMaliciousCutDelaysButBoundsLevels) {
   const auto malicious = choose_malicious(topo, 4, 99);
   Network net(topo, dense_keys());
   const Level L = topo.depth(malicious);  // depth excluding malicious
-  Adversary adv(&net, malicious, std::make_unique<SilentDropStrategy>());
+  Adversary adv(&net, malicious, named_genome(NamedAttack::kSilent).strategy());
   const auto tree = form(net, &adv, TreeMode::kTimestamp, L);
   const auto honest_depth = topo.bfs_depth(malicious);
   for (std::uint32_t id = 1; id < net.node_count(); ++id) {
