@@ -40,7 +40,10 @@
 // hand-written strategies no genome expresses.
 //
 // Every flag takes effect or exits 2: kModes below lists the flags each
-// mode reads, and any other flag given names itself and the mode.
+// mode reads, and any other flag given names itself and the mode; a flag
+// another flag's value voids (--f with --attack none or with
+// --adversary-tenants 0, --attack X or --adversary-tenants A with --f 0,
+// --f 0 with --campaign or --replay) names itself and that value.
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -176,6 +179,33 @@ const ModeFlags& mode_of(const Options& o) {
   return o.query == "count" ? kModes[4] : kModes[5];
 }
 
+/// A flag its mode reads can still be voided by a value: an adversary of
+/// zero sensors, or a compromised count nothing places. Each such pair
+/// exits 2, naming the flag and the value that voids it.
+void reject_moot_values(const Options& o, const ModeFlags& mode) {
+  auto moot = [](const std::string& flag, const std::string& voided_by) {
+    std::fprintf(stderr, "vmatsim: %s has no effect with %s\n", flag.c_str(),
+                 voided_by.c_str());
+    std::exit(2);
+  };
+  const bool f_given = o.given.contains("--f");
+  const std::string_view reads = mode.reads;
+  if (reads.find("--attack") != std::string_view::npos) {
+    if (o.attack == "none" && f_given) moot("--f", "--attack none");
+    if (o.attack != "none" && o.given.contains("--attack") && o.f == 0)
+      moot("--attack " + o.attack, "--f 0");
+  } else if (o.daemon) {
+    if (o.adversary_tenants == 0 && f_given)
+      moot("--f", "--adversary-tenants 0");
+    if (o.adversary_tenants > 0 && o.f == 0)
+      moot("--adversary-tenants " + std::to_string(o.adversary_tenants),
+           "--f 0");
+  } else if (o.f == 0) {
+    // Campaign probes and replays always place a compromised set.
+    moot("--f 0", mode.name);
+  }
+}
+
 Options parse(int argc, char** argv) {
   Options o;
   for (int i = 1; i < argc; ++i) {
@@ -229,6 +259,7 @@ Options parse(int argc, char** argv) {
                  o.adversary_tenants, o.tenants);
     std::exit(2);
   }
+  reject_moot_values(o, mode);
   return o;
 }
 
@@ -433,7 +464,7 @@ int run_campaign_mode(const Options& o, const vmat::SimulationSpec& base_spec) {
   namespace camp = vmat::campaign;
   camp::CampaignConfig config;
   config.spec = base_spec;
-  config.compromised = o.f == 0 ? 2 : o.f;
+  config.compromised = o.f;
   config.placement_seed = o.seed + 17;
   config.probes = o.campaign;
   config.seed = o.seed;
@@ -487,7 +518,7 @@ int run_replay_mode(const Options& o, const vmat::SimulationSpec& base_spec) {
   }
   camp::CampaignConfig config;
   config.spec = base_spec;
-  config.compromised = o.f == 0 ? 2 : o.f;
+  config.compromised = o.f;
   config.placement_seed = o.seed + 17;
   config.seed = o.seed;
   camp::CampaignRunner runner(std::move(config));

@@ -83,6 +83,22 @@ AggregationOutcome run_aggregation(Network& net, Adversary* adversary,
   for (std::uint32_t id = 0; id < n; ++id)
     audits.set_level(NodeId{id}, tree.level[id]);
 
+  // The senders of slot t are the level-(L-t+1) sensors: bucket every
+  // validly leveled sensor by level once (CSR, ids ascending within a
+  // bucket), so each TX pass visits one bucket instead of all n ids.
+  std::vector<std::uint32_t> level_start(static_cast<std::size_t>(L) + 2, 0);
+  for (std::uint32_t id = 1; id < n; ++id)
+    if (tree.has_valid_level(NodeId{id})) ++level_start[tree.level[id] + 1];
+  for (Level i = 1; i <= L; ++i) level_start[i + 1] += level_start[i];
+  std::vector<NodeId> by_level(level_start[L + 1]);
+  {
+    std::vector<std::uint32_t> cursor(level_start.begin(),
+                                      level_start.end() - 1);
+    for (std::uint32_t id = 1; id < n; ++id)
+      if (tree.has_valid_level(NodeId{id}))
+        by_level[cursor[tree.level[id]]++] = NodeId{id};
+  }
+
   // The adversary hook interface exposes every node's own messages and the
   // valid records delivered to malicious nodes — both O(n)
   // vector-of-vectors by construction (strategies index them per node). A
@@ -122,67 +138,68 @@ AggregationOutcome run_aggregation(Network& net, Adversary* adversary,
     // Honest transmissions: a level-i sensor transmits in slot L-i+1.
     // Shards build bundles and batch-compute edge MACs; the fabric sends
     // replay serially below.
-    for_each_shard(
-        n, shards, pool,
-        [&net, &tree, &config, &adversary, &values, &weights, &audits, &bufs,
-         slot, L](std::size_t shard, std::size_t begin, std::size_t end) {
-          ShardBuf& buf = bufs[shard];
-          std::vector<AggMessage> own_msgs;  // per-node scratch
-          for (std::size_t id = begin; id < end; ++id) {
-            const NodeId node{static_cast<std::uint32_t>(id)};
-            if (node == kBaseStation || byzantine(adversary, node)) continue;
-            if (net.revocation().is_sensor_revoked(node)) continue;
-            if (!tree.has_valid_level(node)) continue;
-            const Level i = tree.level[id];
-            if (slot != L - i + 1) continue;
+    const Level sending = L - slot + 1;
+    const std::span<const NodeId> senders(
+        by_level.data() + level_start[sending],
+        level_start[sending + 1] - level_start[sending]);
+    if (!senders.empty()) {
+      for_each_shard(
+          n, shards, pool,
+          [&net, &tree, &config, &adversary, &values, &weights, &audits,
+           &bufs, senders](std::size_t shard, std::size_t begin,
+                           std::size_t end) {
+            ShardBuf& buf = bufs[shard];
+            std::vector<AggMessage> own_msgs;  // per-node scratch
+            for (const NodeId node : shard_ids(senders, begin, end)) {
+              if (byzantine(adversary, node)) continue;
+              if (net.revocation().is_sensor_revoked(node)) continue;
+              build_own_messages(net, config, node, values.row(node.value),
+                                 weights.row(node.value), own_msgs);
+              const AggBundle bundle =
+                  honest_bundle(own_msgs, audits, node, config.instances);
+              if (bundle.entries.empty()) continue;
+              const Bytes frame = encode(bundle);
 
-            build_own_messages(net, config, node,
-                               values.row(static_cast<std::uint32_t>(id)),
-                               weights.row(static_cast<std::uint32_t>(id)),
-                               own_msgs);
-            const AggBundle bundle =
-                honest_bundle(own_msgs, audits, node, config.instances);
-            if (bundle.entries.empty()) continue;
-            const Bytes frame = encode(bundle);
-
-            const auto parents = tree.parents[id];
-            const std::size_t fanout =
-                config.multipath ? parents.size()
-                                 : std::min<std::size_t>(1, parents.size());
-            for (std::size_t p = 0; p < fanout; ++p) {
-              const ParentLink& link = parents[p];
-              if (net.revocation().is_key_revoked(link.edge_key)) continue;
-              TxStep step;
-              step.from = node;
-              step.to = link.claimed_id;
-              step.edge_key = link.edge_key;
-              // The claimed parent may not be a physical neighbor (a
-              // spoofed tree-formation frame); the fabric then drops the
-              // frame at replay, which is exactly a silent drop the
-              // confirmation phase will catch.
-              buf.stage_payload(step, frame);
-              buf.steps.push_back(std::move(step));
-              for (const auto& m : bundle.entries)
-                audits.add_forwarded(shard, node,
-                                     {m, link.edge_key, link.claimed_id});
+              const auto parents = tree.parents[node.value];
+              const std::size_t fanout =
+                  config.multipath ? parents.size()
+                                   : std::min<std::size_t>(1, parents.size());
+              for (std::size_t p = 0; p < fanout; ++p) {
+                const ParentLink& link = parents[p];
+                if (net.revocation().is_key_revoked(link.edge_key)) continue;
+                TxStep step;
+                step.from = node;
+                step.to = link.claimed_id;
+                step.edge_key = link.edge_key;
+                // The claimed parent may not be a physical neighbor (a
+                // spoofed tree-formation frame); the fabric then drops the
+                // frame at replay, which is exactly a silent drop the
+                // confirmation phase will catch.
+                buf.stage_payload(step, frame);
+                buf.steps.push_back(std::move(step));
+                for (const auto& m : bundle.entries)
+                  audits.add_forwarded(shard, node,
+                                       {m, link.edge_key, link.claimed_id});
+              }
             }
-          }
-          compute_step_macs(net.keys(), buf);
-        });
-    replay_tx(net, bufs, nullptr, tracer);
+            compute_step_macs(net.keys(), buf);
+          });
+      replay_tx(net, bufs, nullptr, tracer);
+    }
 
-    net.fabric().end_slot();
+    const std::span<const NodeId> receivers = net.fabric().end_slot();
+    if (receivers.empty()) continue;
 
     // Receipt.
     ShardedTrace rx_trace(tracer, shards);
     for_each_shard(
         n, shards, pool,
         [&net, &tree, &config, &adversary, &audits, &bufs, &rx_trace,
-         &malicious_received, &outcome, slot, L](
+         &malicious_received, &outcome, receivers, slot, L](
             std::size_t shard, std::size_t begin, std::size_t end) {
           Tracer shard_tracer = rx_trace.shard(shard);
-          for (std::size_t id = begin; id < end; ++id) {
-            const NodeId node{static_cast<std::uint32_t>(id)};
+          for (const NodeId node : shard_ids(receivers, begin, end)) {
+            const std::uint32_t id = node.value;
             if (net.revocation().is_sensor_revoked(node)) continue;
             const bool is_bs = node == kBaseStation;
             if (!is_bs && !tree.has_valid_level(node)) {

@@ -32,11 +32,13 @@ ConfirmationOutcome run_confirmation(
 
   net.fabric().reset();
 
-  // Level-parallel sharding (see core/phase_shard.h). Veto MACs and the
-  // per-neighbor edge MACs compute in-shard; sends, out-edge audit records
-  // (which depend on send success) and veto trace events replay serially in
-  // node-id order, so the fabric and the event stream behave exactly as in
-  // serial execution.
+  // Level-parallel sharding over active sets (see core/phase_shard.h).
+  // Veto MACs and the per-neighbor edge MACs compute in-shard; sends,
+  // out-edge audit records (which depend on send success) and veto trace
+  // events replay serially in node-id order, so the fabric and the event
+  // stream behave exactly as in serial execution. Slot 1 checks every
+  // sensor for a veto; later slots send only the forwarders each shard's
+  // RX pass scheduled in its ShardBuf::next.
   net.warm_crypto_caches();
   const std::size_t shards = plan_shards(n);
   ThreadPool& pool = ThreadPool::shared();
@@ -44,10 +46,7 @@ ConfirmationOutcome run_confirmation(
 
   audits.begin_sof(shards);
 
-  // Pending forwards decided at receipt, executed next slot (an empty
-  // buffer means none — a recorded veto frame is never empty). The
-  // malicious-veto feed exists only for the adversary hooks.
-  std::vector<Bytes> pending(n);
+  // The malicious-veto feed exists only for the adversary hooks.
   std::vector<std::vector<VetoMsg>> malicious_vetoes(
       adversary != nullptr ? n : 0);
 
@@ -66,86 +65,93 @@ ConfirmationOutcome run_confirmation(
       adversary->strategy().on_conf_slot(adversary->view(), ctx);
     }
 
-    for_each_shard(
-        n, shards, pool,
-        [&net, &tree, &adversary, &values, &broadcast_minima, &audits,
-         &pending, &bufs, nonce, slot](std::size_t shard, std::size_t begin,
-                                      std::size_t end) {
-          ShardBuf& buf = bufs[shard];
-          auto buffer_flood = [&net, &buf](NodeId node, const Bytes& frame,
-                                           bool track_out_edge) {
-            for (NodeId v : net.topology().neighbors(node)) {
-              const auto edge_key = net.usable_edge_key(node, v);
-              if (!edge_key.has_value()) continue;
-              TxStep step;
-              step.from = node;
-              step.to = v;
-              step.edge_key = *edge_key;
-              step.track_out_edge = track_out_edge;
-              buf.stage_payload(step, frame);
-              buf.steps.push_back(std::move(step));
-            }
-          };
-          for (std::size_t id = begin; id < end; ++id) {
-            const NodeId node{static_cast<std::uint32_t>(id)};
-            if (node == kBaseStation || byzantine(adversary, node)) continue;
-            if (net.revocation().is_sensor_revoked(node)) continue;
-
+    if (slot == 1 || any_next(bufs)) {
+      for_each_shard(
+          n, shards, pool,
+          [&net, &tree, &adversary, &values, &broadcast_minima, &audits,
+           &bufs, nonce, slot](std::size_t shard, std::size_t begin,
+                               std::size_t end) {
+            ShardBuf& buf = bufs[shard];
+            auto buffer_flood = [&net, &buf](
+                                    NodeId node,
+                                    std::span<const std::uint8_t> frame) {
+              for (NodeId v : net.topology().neighbors(node)) {
+                const auto edge_key = net.usable_edge_key(node, v);
+                if (!edge_key.has_value()) continue;
+                TxStep step;
+                step.from = node;
+                step.to = v;
+                step.edge_key = *edge_key;
+                step.track_out_edge = true;
+                buf.stage_payload(step, frame);
+                buf.steps.push_back(std::move(step));
+              }
+            };
             if (slot == 1) {
               // Vetoers transmit in the first interval.
-              if (!tree.has_valid_level(node)) continue;
-              const auto instance = veto_instance(
-                  values.row(static_cast<std::uint32_t>(id)),
-                  broadcast_minima);
-              if (!instance.has_value()) continue;
-              // Stack context: identical MAC to the cached form, and
-              // thread-safe inside the shard (no lazy table mutation).
-              const MacContext vetoer_key(net.keys().sensor_key(node));
-              const Reading own =
-                  values.row(static_cast<std::uint32_t>(id))[*instance];
-              const VetoMsg veto = make_veto(vetoer_key, node, *instance, own,
-                                             tree.level[id], nonce);
-              SofRecord rec;
-              rec.msg = veto;
-              rec.originated = true;
-              rec.received_interval = 0;
-              rec.forward_interval = 1;
-              // out_edges fill at replay, as sends succeed.
-              audits.set_sof(shard, node, std::move(rec));
-              buffer_flood(node, encode(veto), /*track_out_edge=*/true);
-              TxStep ev;
-              ev.kind = TxStep::Kind::kVeto;
-              ev.actor = node;
-              ev.origin = node;
-              ev.slot = slot;
-              ev.value = own;
-              ev.originated = true;
-              buf.steps.push_back(std::move(ev));
-            } else if (!pending[id].empty()) {
+              for (std::size_t id = begin; id < end; ++id) {
+                const NodeId node{static_cast<std::uint32_t>(id)};
+                if (node == kBaseStation || byzantine(adversary, node))
+                  continue;
+                if (net.revocation().is_sensor_revoked(node)) continue;
+                if (!tree.has_valid_level(node)) continue;
+                const auto instance = veto_instance(
+                    values.row(static_cast<std::uint32_t>(id)),
+                    broadcast_minima);
+                if (!instance.has_value()) continue;
+                // Stack context: identical MAC to the cached form, and
+                // thread-safe inside the shard (no lazy table mutation).
+                const MacContext vetoer_key(net.keys().sensor_key(node));
+                const Reading own =
+                    values.row(static_cast<std::uint32_t>(id))[*instance];
+                const VetoMsg veto = make_veto(vetoer_key, node, *instance,
+                                               own, tree.level[id], nonce);
+                SofRecord rec;
+                rec.msg = veto;
+                rec.originated = true;
+                rec.received_interval = 0;
+                rec.forward_interval = 1;
+                // out_edges fill at replay, as sends succeed.
+                audits.set_sof(shard, node, std::move(rec));
+                buffer_flood(node, encode(veto));
+                TxStep ev;
+                ev.kind = TxStep::Kind::kVeto;
+                ev.actor = node;
+                ev.origin = node;
+                ev.slot = slot;
+                ev.value = own;
+                ev.originated = true;
+                buf.steps.push_back(std::move(ev));
+              }
+            } else {
               // One-time forward of the first veto received last slot.
-              const Bytes frame = std::move(pending[id]);
-              pending[id].clear();
-              buffer_flood(node, frame, /*track_out_edge=*/true);
+              for (const NextSender& fwd : buf.next) {
+                if (byzantine(adversary, fwd.node)) continue;
+                if (net.revocation().is_sensor_revoked(fwd.node)) continue;
+                buffer_flood(fwd.node, fwd.payload);
+              }
+              buf.next.clear();
             }
-          }
-          compute_step_macs(net.keys(), buf);
-        });
-    replay_tx(net, bufs, &audits, tracer);
+            compute_step_macs(net.keys(), buf);
+          });
+      replay_tx(net, bufs, &audits, tracer);
+    }
 
-    net.fabric().end_slot();
+    const std::span<const NodeId> receivers = net.fabric().end_slot();
+    if (receivers.empty()) continue;
 
     ShardedTrace rx_trace(tracer, shards);
     for_each_shard(
         n, shards, pool,
-        [&net, &adversary, &audits, &pending, &malicious_vetoes, &outcome,
-         &bufs, &rx_trace, slot](std::size_t shard, std::size_t begin,
-                                 std::size_t end) {
+        [&net, &adversary, &audits, &malicious_vetoes, &outcome, &bufs,
+         &rx_trace, receivers, slot](std::size_t shard, std::size_t begin,
+                                     std::size_t end) {
           Tracer shard_tracer = rx_trace.shard(shard);
-          for (std::size_t id = begin; id < end; ++id) {
-            const NodeId node{static_cast<std::uint32_t>(id)};
+          ShardBuf& buf = bufs[shard];
+          for (const NodeId node : shard_ids(receivers, begin, end)) {
+            const std::uint32_t id = node.value;
             if (net.revocation().is_sensor_revoked(node)) continue;
-            auto frames = net.receive_valid(node, bufs[shard].rx,
-                                            shard_tracer);
+            auto frames = net.receive_valid(node, buf.rx, shard_tracer);
             const bool is_malicious =
                 adversary != nullptr && adversary->is_malicious(node);
             for (const auto& env : frames) {
@@ -171,10 +177,9 @@ ConfirmationOutcome run_confirmation(
               rec.forward_interval = slot + 1;
               rec.in_edge = env.edge_key;
               audits.set_sof(shard, node, std::move(rec));
-              // One-time per node per execution: the forwarded frame must
-              // outlive the arena slot.
-              // vmat-lint: allow(hot-path-alloc) -- one-shot veto forward
-              pending[id] = Bytes(env.payload.begin(), env.payload.end());
+              // The veto's bytes stay in the fabric's delivery arena until
+              // the next end_slot(), i.e. through the next TX pass.
+              buf.next.push_back({node, env.payload});
               shard_tracer.veto(node, veto->origin, slot, veto->value, false);
             }
           }

@@ -1,9 +1,11 @@
 #include "core/coordinator.h"
 
+#include <algorithm>
 #include <stdexcept>
 #include <type_traits>
 
 #include "spec/simulation_spec.h"
+#include "util/parallel.h"
 #include "util/random.h"
 
 namespace vmat {
@@ -107,12 +109,41 @@ void VmatCoordinator::set_recorder(FlightRecorder* recorder) {
 void VmatCoordinator::authenticated_broadcast(const Bytes& payload,
                                               int& rounds, Tracer tracer) {
   const SignedBroadcast b = broadcaster_.sign(payload, tracer);
+  // Every non-revoked sensor runs its own AuthReceiver (hash-chain step,
+  // key derivation, MAC check). Receivers are independent per-node state,
+  // so the loop shards by id range like the phase drivers' RX passes and
+  // the mac_verify events merge in id order. A shard stops at its first
+  // rejection, which the join turns into the serial loop's logic_error.
+  struct ShardTally {
+    std::uint64_t accepted{0};
+    bool rejected{false};
+  };
+  const std::uint32_t n = net_->node_count();
+  const std::size_t shards = plan_shards(n);
+  std::vector<ShardTally> tally(shards);
+  ShardedTrace trace(tracer, shards);
+  for_each_shard(
+      n, shards, ThreadPool::shared(),
+      [this, &b, &tally, &trace](std::size_t shard, std::size_t begin,
+                                 std::size_t end) {
+        Tracer shard_tracer = trace.shard(shard);
+        for (std::size_t id = std::max<std::size_t>(begin, 1); id < end;
+             ++id) {
+          const NodeId node{static_cast<std::uint32_t>(id)};
+          if (net_->revocation().is_sensor_revoked(node)) continue;
+          if (!receivers_[id].accept(b, shard_tracer, node)) {
+            tally[shard].rejected = true;
+            return;
+          }
+          ++tally[shard].accepted;
+        }
+      });
+  trace.merge();
   std::uint64_t receivers = 0;
-  for (std::uint32_t id = 1; id < net_->node_count(); ++id) {
-    if (net_->revocation().is_sensor_revoked(NodeId{id})) continue;
-    if (!receivers_[id].accept(b, tracer, NodeId{id}))
+  for (const ShardTally& t : tally) {
+    if (t.rejected)
       throw std::logic_error("authenticated broadcast rejected by a sensor");
-    ++receivers;
+    receivers += t.accepted;
   }
   tracer.auth_broadcast(payload.size(), receivers);
   rounds += 1;

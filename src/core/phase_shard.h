@@ -19,12 +19,23 @@
 //     one shard, and trace events buffer in a ShardedTrace that merges in
 //     shard order after the join.
 //
+// Active sets: a slot costs its senders, frames and receivers, not n. The
+// shard partition stays the id-range one (plan_shards(n), for_each_shard),
+// but a shard visits only the active ids inside its [begin, end): TX the
+// slot's senders (a level bucket, or the ShardBuf::next list its own RX
+// pass filled last slot), RX the id-sorted receivers Fabric::end_slot()
+// returns, cut to the shard with shard_ids(). Ascending ids within a shard
+// keep every buffer, audit pool and merged trace in the order the all-ids
+// scan produced. A pass with no active id anywhere skips the fork/join.
+//
 // One code path serves serial and parallel execution: plan_shards() returns
 // 1 when intra-execution threading is off (or the node count is too small),
 // and for_each_shard() then runs the single shard inline on the caller.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/audit.h"
@@ -65,14 +76,25 @@ struct TxStep {
   bool originated{false};
 };
 
+/// A sender one slot's RX pass schedules for the next slot's TX pass: a
+/// tree-formation adopter (payload unused — every adopter floods the same
+/// frame) or a confirmation forwarder (payload: the first veto it received,
+/// a span into the fabric's delivery arena, which stays valid until the
+/// next end_slot(), i.e. through the next TX pass).
+struct NextSender {
+  NodeId node;
+  std::span<const std::uint8_t> payload;
+};
+
 /// Per-shard scratch: the TX step buffer, its flat payload bytes, the MAC
-/// batch, and the RX scratch. Lives across slots so steady-state slots
-/// allocate nothing.
+/// batch, the RX scratch, and the senders the shard's RX pass scheduled.
+/// Lives across slots so steady-state slots allocate nothing.
 struct ShardBuf {
   std::vector<TxStep> steps;
   Bytes payload_bytes;  // every buffered step's payload, back to back
   MacBatch batch;
   RxScratch rx;
+  std::vector<NextSender> next;  // ascending ids, all inside this shard
 
   /// Copy `payload` into the shard's flat buffer and point `step` at it.
   void stage_payload(TxStep& step, std::span<const std::uint8_t> payload) {
@@ -87,6 +109,22 @@ struct ShardBuf {
         .subspan(step.payload_off, step.payload_len);
   }
 };
+
+/// The ids of an id-sorted list that fall in a shard's [begin, end).
+[[nodiscard]] inline std::span<const NodeId> shard_ids(
+    std::span<const NodeId> sorted, std::size_t begin, std::size_t end) {
+  const auto lo = std::lower_bound(sorted.begin(), sorted.end(),
+                                   NodeId{static_cast<std::uint32_t>(begin)});
+  const auto hi = std::lower_bound(lo, sorted.end(),
+                                   NodeId{static_cast<std::uint32_t>(end)});
+  return {lo, hi};
+}
+
+/// Whether any shard's RX pass scheduled a sender for this slot.
+[[nodiscard]] inline bool any_next(const std::vector<ShardBuf>& bufs) {
+  return std::any_of(bufs.begin(), bufs.end(),
+                     [](const ShardBuf& b) { return !b.next.empty(); });
+}
 
 /// Compute every buffered kSend step's edge MAC through the shard's
 /// multi-buffer batch. Called at the end of a shard's TX pass, inside the

@@ -34,13 +34,15 @@ TreeResult run_timestamp_mode(Network& net, Adversary* adversary,
   result.level[kBaseStation.value] = 0;
   const Bytes flood_frame = encode(TreeFormationMsg{params.session, 0});
 
-  // Level-parallel sharding (see core/phase_shard.h): only level-(slot-1)
-  // sensors transmit each slot, but the cheap per-node filters run in-shard
-  // so one pass covers all ids; sends replay serially in id order.
+  // Level-parallel sharding over active sets (see core/phase_shard.h): the
+  // senders of slot t are exactly the sensors that adopted level t-1 in
+  // slot t-1, which each shard's RX pass lists in its ShardBuf::next (the
+  // base station seeds slot 1); sends replay serially in id order.
   net.warm_crypto_caches();
   const std::size_t shards = plan_shards(n);
   ThreadPool& pool = ThreadPool::shared();
   std::vector<ShardBuf> bufs(shards);
+  bufs[0].next.push_back({kBaseStation, {}});
   // Flat per-shard parent staging, compacted into the CSR ParentTable at
   // phase end (a node records all its parents in the one slot it adopts a
   // level, within its owning shard).
@@ -60,52 +62,52 @@ TreeResult run_timestamp_mode(Network& net, Adversary* adversary,
 
     // Honest transmissions: the base station in slot 1; level-(slot-1)
     // sensors in slot `slot`.
-    for_each_shard(
-        n, shards, pool,
-        [&net, &adversary, &result, &flood_frame, &bufs, slot](
-            std::size_t shard, std::size_t begin, std::size_t end) {
-          ShardBuf& buf = bufs[shard];
-          for (std::size_t id = begin; id < end; ++id) {
-            const NodeId node{static_cast<std::uint32_t>(id)};
-            if (byzantine(adversary, node)) continue;
-            if (net.revocation().is_sensor_revoked(node)) continue;
-            const bool is_bs_turn = (node == kBaseStation && slot == 1);
-            const bool is_sensor_turn =
-                (node != kBaseStation && result.level[id] == slot - 1);
-            if (!is_bs_turn && !is_sensor_turn) continue;
-            for (NodeId v : net.topology().neighbors(node)) {
-              const auto edge_key = net.usable_edge_key(node, v);
-              if (!edge_key.has_value()) continue;
-              TxStep step;
-              step.from = node;
-              step.to = v;
-              step.edge_key = *edge_key;
-              buf.stage_payload(step, flood_frame);
-              buf.steps.push_back(std::move(step));
+    if (any_next(bufs)) {
+      for_each_shard(
+          n, shards, pool,
+          [&net, &adversary, &flood_frame, &bufs](
+              std::size_t shard, std::size_t, std::size_t) {
+            ShardBuf& buf = bufs[shard];
+            for (const NextSender& sender : buf.next) {
+              const NodeId node = sender.node;
+              if (byzantine(adversary, node)) continue;
+              if (net.revocation().is_sensor_revoked(node)) continue;
+              for (NodeId v : net.topology().neighbors(node)) {
+                const auto edge_key = net.usable_edge_key(node, v);
+                if (!edge_key.has_value()) continue;
+                TxStep step;
+                step.from = node;
+                step.to = v;
+                step.edge_key = *edge_key;
+                buf.stage_payload(step, flood_frame);
+                buf.steps.push_back(std::move(step));
+              }
             }
-          }
-          compute_step_macs(net.keys(), buf);
-        });
-    replay_tx(net, bufs, nullptr, tracer);
+            buf.next.clear();
+            compute_step_macs(net.keys(), buf);
+          });
+      replay_tx(net, bufs, nullptr, tracer);
+    }
 
-    net.fabric().end_slot();
+    const std::span<const NodeId> receivers = net.fabric().end_slot();
+    if (receivers.empty()) continue;
 
     // Receipt: unleveled nodes adopt this slot as their level.
     ShardedTrace rx_trace(tracer, shards);
     for_each_shard(
         n, shards, pool,
-        [&net, &params, &result, &parent_stage, &bufs, &rx_trace, slot](
-            std::size_t shard, std::size_t begin, std::size_t end) {
+        [&net, &params, &result, &parent_stage, &bufs, &rx_trace, receivers,
+         slot](std::size_t shard, std::size_t begin, std::size_t end) {
           Tracer shard_tracer = rx_trace.shard(shard);
-          for (std::size_t id = begin; id < end; ++id) {
-            const NodeId node{static_cast<std::uint32_t>(id)};
+          ShardBuf& buf = bufs[shard];
+          for (const NodeId node : shard_ids(receivers, begin, end)) {
+            const std::uint32_t id = node.value;
             if (node == kBaseStation) {
               (void)net.fabric().take_inbox(node);  // BS ignores tree frames
               continue;
             }
             if (net.revocation().is_sensor_revoked(node)) continue;
-            auto frames = net.receive_valid(node, bufs[shard].rx,
-                                            shard_tracer);
+            auto frames = net.receive_valid(node, buf.rx, shard_tracer);
             if (result.level[id] != kNoLevel) continue;  // already leveled
             bool adopted = false;
             for (const auto& env : frames) {
@@ -113,11 +115,13 @@ TreeResult run_timestamp_mode(Network& net, Adversary* adversary,
               if (!msg.has_value() || msg->session != params.session)
                 continue;
               adopted = true;
-              record_parent(parent_stage[shard],
-                            static_cast<std::uint32_t>(id),
+              record_parent(parent_stage[shard], id,
                             {env.from, env.edge_key});
             }
-            if (adopted) result.level[id] = slot;
+            if (adopted) {
+              result.level[id] = slot;
+              buf.next.push_back({node, {}});
+            }
           }
         });
     rx_trace.merge();

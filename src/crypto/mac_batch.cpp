@@ -305,39 +305,41 @@ void MacBatch::compute() {
     std::memcpy(&states_[8 * i], inner.h.data(), sizeof inner.h);
   }
 
-  // Lockstep compression needs equal block counts: group lane ids by
-  // nblocks (stable, so results stay in add() order via lane ids).
-  order_.resize(m);
-  for (std::size_t i = 0; i < m; ++i) order_[i] = static_cast<std::uint32_t>(i);
-  std::stable_sort(order_.begin(), order_.end(),
-                   [this](std::uint32_t a, std::uint32_t b) {
-                     return nblocks_[a] < nblocks_[b];
-                   });
-
-  std::vector<std::uint32_t*> states;
-  std::vector<const std::uint8_t*> streams;
-  states.reserve(m);
-  streams.reserve(m);
-  for (std::size_t g = 0; g < m;) {
-    const std::size_t nb = nblocks_[order_[g]];
-    std::size_t end = g;
-    states.clear();
-    streams.clear();
-    while (end < m && nblocks_[order_[end]] == nb) {
-      states.push_back(&states_[8 * order_[end]]);
-      streams.push_back(inner_pad_.data() + offsets_[order_[end]]);
-      ++end;
-    }
-    compress_group(impl, states.data(), streams.data(), end - g, nb);
-    g = end;
+  // Lockstep compression needs equal block counts: a counting sort over
+  // the member scratch groups the lanes by block count, ascending, each
+  // group in add() order (usually every lane shares one count and this is
+  // the identity).
+  const auto [lo_it, hi_it] =
+      std::minmax_element(nblocks_.begin(), nblocks_.end());
+  const std::size_t lo = *lo_it;
+  group_end_.assign(*hi_it - lo + 1, 0);
+  for (std::size_t i = 0; i < m; ++i) ++group_end_[nblocks_[i] - lo];
+  std::uint32_t running = 0;
+  for (std::uint32_t& slot : group_end_) {
+    const std::uint32_t count = slot;
+    slot = running;  // group start, advanced to its end by the scatter
+    running += count;
+  }
+  lane_states_.resize(m);
+  lane_streams_.resize(m);
+  for (std::size_t i = 0; i < m; ++i) {
+    const std::uint32_t pos = group_end_[nblocks_[i] - lo]++;
+    lane_states_[pos] = &states_[8 * i];
+    lane_streams_[pos] = inner_pad_.data() + offsets_[i];
+  }
+  std::size_t begin = 0;
+  for (std::size_t g = 0; g < group_end_.size(); ++g) {
+    const std::size_t end = group_end_[g];
+    if (end > begin)
+      compress_group(impl, lane_states_.data() + begin,
+                     lane_streams_.data() + begin, end - begin, lo + g);
+    begin = end;
   }
 
   // Outer finalization: every lane is exactly one block — the 32-byte inner
   // digest, 0x80, zeros, bit length of opad-block + digest (768).
   outer_pad_.clear();
   outer_pad_.resize(64 * m);
-  states.clear();
-  streams.clear();
   for (std::size_t i = 0; i < m; ++i) {
     std::uint8_t* dst = outer_pad_.data() + 64 * i;
     for (int r = 0; r < 8; ++r) {
@@ -349,10 +351,10 @@ void MacBatch::compute() {
     dst[63] = 0x00;
     const Sha256Midstate& outer = lanes_[i].state->outer_midstate();
     std::memcpy(&states_[8 * i], outer.h.data(), sizeof outer.h);
-    states.push_back(&states_[8 * i]);
-    streams.push_back(dst);
+    lane_states_[i] = &states_[8 * i];
+    lane_streams_[i] = dst;
   }
-  compress_group(impl, states.data(), streams.data(), m, 1);
+  compress_group(impl, lane_states_.data(), lane_streams_.data(), m, 1);
 
   for (std::size_t i = 0; i < m; ++i) {
     std::uint8_t digest8[8];

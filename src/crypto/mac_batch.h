@@ -70,14 +70,18 @@ class MacBatch {
 
   std::vector<Lane> lanes_;
   std::vector<Mac> macs_;
-  // Scratch reused across compute() calls: padded inner streams, per-lane
-  // running states, per-lane block offsets/counts, block-count ordering.
+  // Scratch reused across compute() calls (a steady-state compute()
+  // allocates nothing): padded inner streams, per-lane running states,
+  // per-lane block offsets/counts, the kernel's state/stream pointer
+  // arrays, and the block-count grouping's counters.
   std::vector<std::uint8_t> inner_pad_;
   std::vector<std::uint8_t> outer_pad_;
   std::vector<std::uint32_t> states_;   // 8 words per lane
   std::vector<std::size_t> offsets_;    // byte offset of each lane's stream
   std::vector<std::size_t> nblocks_;    // inner block count per lane
-  std::vector<std::uint32_t> order_;    // lane ids grouped by block count
+  std::vector<std::uint32_t*> lane_states_;         // kernel argument
+  std::vector<const std::uint8_t*> lane_streams_;   // kernel argument
+  std::vector<std::uint32_t> group_end_;  // per block count, lo..hi
 };
 
 }  // namespace vmat

@@ -105,7 +105,8 @@ bool Fabric::send_as(NodeId actual_sender, const Envelope& envelope,
     tracer_.frame_dropped(actual_sender, envelope.to, size);
     return false;
   }
-  ++sent_this_slot_[actual_sender.value];
+  if (sent_this_slot_[actual_sender.value]++ == 0)
+    senders_.push_back(actual_sender);
   ++frames_sent_;
   bytes_sent_[actual_sender.value] += size;
   total_bytes_ += size;
@@ -125,21 +126,36 @@ bool Fabric::send_as(NodeId actual_sender, const Envelope& envelope,
   return true;
 }
 
-void Fabric::end_slot() {
-  const std::size_t n = sent_this_slot_.size();
+void Fabric::rest_listed() noexcept {
+  for (const NodeId id : receivers_) {
+    inbox_begin_[id.value] = 0;
+    inbox_end_[id.value] = 0;
+  }
+  receivers_.clear();
+  for (const NodeId id : senders_) sent_this_slot_[id.value] = 0;
+  senders_.clear();
+}
 
-  // Stable counting sort of staged_ by destination: delivered_ becomes one
-  // flat frame table grouped by receiver, per-node ranges in
-  // inbox_begin_/inbox_end_. Delivery order within a node is global send
-  // order, exactly as the per-node queues used to behave.
-  sort_pos_.assign(n, 0);
-  for (const Frame& f : staged_) ++sort_pos_[f.to.value];
+std::span<const NodeId> Fabric::end_slot() {
+  // The previous slot's receivers fall back to the empty range (whatever
+  // they left undrained dies here) and this slot's senders get their
+  // budgets back.
+  rest_listed();
+
+  // Stable sort of staged_ by destination over this slot's receivers only:
+  // count frames per receiver (inbox_end_ doubles as the counter), sort the
+  // distinct receivers, lay their ranges out in id order, then scatter in
+  // send order. delivered_ becomes one flat frame table grouped by
+  // receiver id, delivery order within a node being global send order.
+  for (const Frame& f : staged_)
+    if (inbox_end_[f.to.value]++ == 0) receivers_.push_back(f.to);
+  std::sort(receivers_.begin(), receivers_.end());
   std::uint32_t running = 0;
-  for (std::size_t id = 0; id < n; ++id) {
-    inbox_begin_[id] = running;
-    running += sort_pos_[id];
-    inbox_end_[id] = running;
-    sort_pos_[id] = inbox_begin_[id];
+  for (const NodeId id : receivers_) {
+    const std::uint32_t count = inbox_end_[id.value];
+    inbox_begin_[id.value] = running;
+    inbox_end_[id.value] = running;  // scatter cursor
+    running += count;
   }
   // Streaming mode retires the closing delivery slot's frame-table slack
   // before the sort refills it: capacity tracks the current slot instead
@@ -149,19 +165,18 @@ void Fabric::end_slot() {
     delivered_.shrink_to_fit();
   }
   delivered_.resize(staged_.size());
-  for (const Frame& f : staged_) delivered_[sort_pos_[f.to.value]++] = f;
+  for (const Frame& f : staged_) delivered_[inbox_end_[f.to.value]++] = f;
   staged_.clear();
   if (streaming_) staged_.shrink_to_fit();
 
-  // Per-receiver delivery accounting, in receiver order (the order the old
-  // per-node inbox walk used).
-  for (std::size_t id = 0; id < n; ++id) {
-    for (std::uint32_t i = inbox_begin_[id]; i < inbox_end_[id]; ++i) {
+  // Per-receiver delivery accounting, in receiver id order.
+  for (const NodeId id : receivers_) {
+    for (std::uint32_t i = inbox_begin_[id.value]; i < inbox_end_[id.value];
+         ++i) {
       const std::size_t size = frame_size(delivered_[i]);
-      bytes_received_[id] += size;
-      tracer_.frame_delivered(NodeId{static_cast<std::uint32_t>(id)}, size);
+      bytes_received_[id.value] += size;
+      tracer_.frame_delivered(id, size);
     }
-    sent_this_slot_[id] = 0;
   }
 
   // Rotate arenas: this slot's collection arena now backs the open delivery
@@ -174,6 +189,7 @@ void Fabric::end_slot() {
     arenas_[collect_].release();
   else
     arenas_[collect_].reset();
+  return receivers_;
 }
 
 std::span<const Frame> Fabric::take_inbox(NodeId node) {
@@ -186,11 +202,9 @@ std::span<const Frame> Fabric::take_inbox(NodeId node) {
 }
 
 void Fabric::reset() {
+  rest_listed();
   staged_.clear();
   delivered_.clear();
-  std::fill(inbox_begin_.begin(), inbox_begin_.end(), 0);
-  std::fill(inbox_end_.begin(), inbox_end_.end(), 0);
-  std::fill(sent_this_slot_.begin(), sent_this_slot_.end(), 0);
   if (streaming_) {
     staged_.shrink_to_fit();
     delivered_.shrink_to_fit();
@@ -261,6 +275,10 @@ void Fabric::snapshot_load(SnapshotReader& r) {
   r.pod(lost_);
   collect_ = static_cast<std::size_t>(r.pod<std::uint64_t>()) & 1;
   r.vec_pod(sent_this_slot_);
+  senders_.clear();
+  for (std::size_t id = 0; id < sent_this_slot_.size(); ++id)
+    if (sent_this_slot_[id] != 0)
+      senders_.push_back(NodeId{static_cast<std::uint32_t>(id)});
   r.vec_pod(bytes_sent_);
   r.vec_pod(bytes_received_);
   r.pod(total_bytes_);
@@ -279,10 +297,19 @@ void Fabric::snapshot_load(SnapshotReader& r) {
 
   // Delivered frames re-pack compacted (drained prefixes dropped); the
   // per-node ranges yield the same frames in the same order as before.
+  // Receivers are the nodes with undrained frames; every other id rests at
+  // the empty range.
   delivered_.clear();
+  receivers_.clear();
   std::uint32_t running = 0;
   for (std::size_t id = 0; id < inbox_begin_.size(); ++id) {
     const auto count = static_cast<std::uint32_t>(r.pod<std::uint64_t>());
+    if (count == 0) {
+      inbox_begin_[id] = 0;
+      inbox_end_[id] = 0;
+      continue;
+    }
+    receivers_.push_back(NodeId{static_cast<std::uint32_t>(id)});
     inbox_begin_[id] = running;
     for (std::uint32_t i = 0; i < count; ++i)
       delivered_.push_back(load_frame(r, arenas_[collect_ ^ 1]));

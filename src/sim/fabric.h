@@ -4,7 +4,8 @@
 // transmit to neighbors, and everything transmitted in slot t is available
 // in the receiver's inbox during slot t (delivery within the slot, matching
 // the paper's clock-guard-band argument). `end_slot()` moves transmissions
-// to inboxes and starts the next slot.
+// to inboxes, starts the next slot, and returns the id-sorted list of nodes
+// that received frames, so a phase driver visits only those.
 //
 // Delivery order within a slot is the global send order. Protocol phase
 // drivers always let the adversary transmit *first* in each slot, which is
@@ -18,10 +19,17 @@
 // arena is reset (capacity kept) and starts collecting. So a delivered
 // Frame's payload span is valid for exactly one delivery slot — until the
 // *next* end_slot(). Inboxes are CSR-style index ranges over one flat frame
-// table (a stable counting sort of the slot's frames by destination), so a
-// whole execution performs O(1) steady-state allocations no matter how many
+// table (a stable sort of the slot's frames by destination), so a whole
+// execution performs O(1) steady-state allocations no matter how many
 // frames fly. Frames not drained within their delivery slot are discarded;
-// every phase driver drains every inbox every slot.
+// every phase driver drains every receiver's inbox every slot.
+//
+// Cost model: a slot costs what it carries. send() is O(1); end_slot() is
+// O(frames + receivers · log receivers) — it touches only this slot's
+// senders and receivers and the previous slot's receivers, never all n
+// nodes; reset() is O(in-flight). Per-node state outside those lists is
+// kept at rest (empty inbox range, zero send count), which is what lets
+// every pass skip it.
 //
 // An optional per-node per-slot transmit budget models the limited relaying
 // capacity that choking attacks exhaust; sends beyond it are dropped and
@@ -176,11 +184,15 @@ class Fabric {
 
   /// Close the current slot: queued frames become receivable (and frames
   /// from the previous slot that were never drained are discarded).
-  void end_slot();
+  /// Returns the nodes that received at least one frame, id-sorted and
+  /// unique — exactly the nodes whose take_inbox() is non-empty. The span
+  /// is valid until the next end_slot()/reset().
+  std::span<const NodeId> end_slot();
 
   /// Drain a node's inbox: the frames delivered to it at the last
-  /// end_slot(), in delivery order. The returned span (and each frame's
-  /// payload span) is valid until the next end_slot()/reset(). Safe to call
+  /// end_slot(), in delivery order; empty for a node that received nothing
+  /// or was already drained. The returned span (and each frame's payload
+  /// span) is valid until the next end_slot()/reset(). Safe to call
   /// concurrently for *distinct* nodes.
   [[nodiscard]] std::span<const Frame> take_inbox(NodeId node);
 
@@ -222,6 +234,10 @@ class Fabric {
   [[nodiscard]] std::uint64_t config_fingerprint(std::uint64_t h) const noexcept;
 
  private:
+  /// Return every id receivers_ and senders_ list to rest (empty inbox
+  /// range, zero sends) and empty both lists.
+  void rest_listed() noexcept;
+
   // Immutable deployment identity (fingerprinted, not serialized).
   // vmat-analyze: allow(snapshot-field-coverage) -- fingerprint-pinned
   const Topology* topology_;
@@ -239,7 +255,11 @@ class Fabric {
   bool streaming_{false};
   std::uint64_t loss_rng_state_{0};
   std::uint64_t lost_{0};
+  // Per-node sends this slot; non-zero only for the ids in senders_, which
+  // end_slot()/reset() zero again.
   std::vector<std::size_t> sent_this_slot_;
+  // vmat-analyze: allow(snapshot-field-coverage) -- rebuilt on load
+  std::vector<NodeId> senders_;
 
   // Double-buffered payload arenas: arenas_[collect_] takes this slot's
   // sends; the other holds the open delivery slot's payloads.
@@ -247,16 +267,17 @@ class Fabric {
   std::size_t collect_{0};
 
   // Flat frame tables. staged_ accumulates sends in global send order;
-  // end_slot() counting-sorts it (stably) by destination into delivered_,
-  // whose per-node ranges are inbox_begin_/inbox_end_. take_inbox() marks a
-  // range drained by collapsing begin onto end.
+  // end_slot() sorts it (stably) by destination into delivered_, whose
+  // per-node ranges are inbox_begin_/inbox_end_. take_inbox() marks a range
+  // drained by collapsing begin onto end. Every id outside receivers_ holds
+  // the empty range [0, 0), so the next end_slot() only has to clear the
+  // ids receivers_ names.
   std::vector<Frame> staged_;
   std::vector<Frame> delivered_;
   std::vector<std::uint32_t> inbox_begin_;
   std::vector<std::uint32_t> inbox_end_;
-  // Counting-sort scratch, fully rewritten by every end_slot().
-  // vmat-analyze: allow(snapshot-field-coverage) -- transient scratch
-  std::vector<std::uint32_t> sort_pos_;
+  // vmat-analyze: allow(snapshot-field-coverage) -- rebuilt on load
+  std::vector<NodeId> receivers_;
 
   std::vector<std::uint64_t> bytes_sent_;
   std::vector<std::uint64_t> bytes_received_;

@@ -14,6 +14,7 @@
 #include "helpers.h"
 #include "sim/fabric.h"
 #include "sim/network.h"
+#include "sim/snapshot.h"
 
 namespace vmat {
 namespace {
@@ -170,6 +171,136 @@ TEST(Fabric, ResetDropsInFlightAndInboxes) {
   fabric.reset();
   fabric.end_slot();
   EXPECT_TRUE(fabric.take_inbox(NodeId{1}).empty());
+}
+
+// --- the active-set contract: end_slot() names the receivers ---
+
+TEST(Fabric, EndSlotReturnsEachReceiverOnceInIdOrder) {
+  const auto topo = Topology::grid(4, 4);  // ids row-major, 4 per row
+  Fabric fabric(&topo);
+  // Sends in descending sender order, several to one receiver.
+  const std::pair<std::uint32_t, std::uint32_t> sends[] = {
+      {15, 14}, {11, 10}, {9, 10}, {6, 10}, {5, 1}, {4, 0}, {1, 0}, {14, 10}};
+  std::uint8_t tag = 0;
+  for (const auto& [from, to] : sends)
+    ASSERT_TRUE(fabric.send(plain(NodeId{from}, NodeId{to}, tag++)));
+  const auto receivers = fabric.end_slot();
+  const std::vector<NodeId> got(receivers.begin(), receivers.end());
+  EXPECT_EQ(got, (std::vector<NodeId>{NodeId{0}, NodeId{1}, NodeId{10},
+                                      NodeId{14}}));
+  EXPECT_TRUE(std::adjacent_find(got.begin(), got.end(),
+                                 [](NodeId a, NodeId b) { return !(a < b); }) ==
+              got.end());
+  // Exactly the receivers have a non-empty inbox, in send order.
+  for (std::uint32_t id = 0; id < topo.node_count(); ++id) {
+    const auto inbox = fabric.take_inbox(NodeId{id});
+    const bool listed = std::find(got.begin(), got.end(), NodeId{id}) !=
+                        got.end();
+    EXPECT_EQ(!inbox.empty(), listed) << id;
+    for (std::size_t k = 1; k < inbox.size(); ++k)
+      EXPECT_LT(inbox[k - 1].payload[0], inbox[k].payload[0]) << id;
+  }
+  EXPECT_EQ(fabric.take_inbox(NodeId{10}).size(), 0u);  // drained
+  // A silent slot names nobody.
+  EXPECT_TRUE(fabric.end_slot().empty());
+}
+
+TEST(Fabric, NonReceiverAndStaleInboxesReadEmpty) {
+  const auto topo = Topology::line(3);  // 0-1-2
+  Fabric fabric(&topo);
+  ASSERT_TRUE(fabric.send(plain(NodeId{0}, NodeId{1}, 1)));
+  ASSERT_EQ(fabric.end_slot().size(), 1u);
+  EXPECT_TRUE(fabric.take_inbox(NodeId{0}).empty());  // received nothing
+  EXPECT_TRUE(fabric.take_inbox(NodeId{2}).empty());
+  // Node 1 leaves its frame undrained; the next end_slot() discards it.
+  ASSERT_TRUE(fabric.send(plain(NodeId{1}, NodeId{2}, 2)));
+  const auto receivers = fabric.end_slot();
+  ASSERT_EQ(receivers.size(), 1u);
+  EXPECT_EQ(receivers[0], NodeId{2});
+  EXPECT_TRUE(fabric.take_inbox(NodeId{1}).empty());  // stale: discarded
+  const auto inbox = fabric.take_inbox(NodeId{2});
+  ASSERT_EQ(inbox.size(), 1u);
+  EXPECT_EQ(inbox[0].payload[0], 2);
+}
+
+TEST(Fabric, ResetClearsInboxesReceiversAndBudgets) {
+  const auto topo = Topology::line(3);
+  Fabric fabric(&topo, 1);
+  ASSERT_TRUE(fabric.send(plain(NodeId{0}, NodeId{1}, 1)));
+  fabric.end_slot();  // node 1's inbox stays undrained
+  ASSERT_TRUE(fabric.send(plain(NodeId{1}, NodeId{2}, 2)));  // staged
+  EXPECT_FALSE(fabric.send(plain(NodeId{1}, NodeId{0}, 3)));  // budget
+  fabric.reset();
+  for (std::uint32_t id = 0; id < 3; ++id)
+    EXPECT_TRUE(fabric.take_inbox(NodeId{id}).empty()) << id;
+  EXPECT_TRUE(fabric.end_slot().empty());  // the staged frame is gone too
+  // Budgets start fresh after a reset.
+  ASSERT_TRUE(fabric.send(plain(NodeId{1}, NodeId{0}, 4)));
+  const auto receivers = fabric.end_slot();
+  ASSERT_EQ(receivers.size(), 1u);
+  EXPECT_EQ(receivers[0], NodeId{0});
+  ASSERT_EQ(fabric.take_inbox(NodeId{0}).size(), 1u);
+}
+
+TEST(Fabric, SnapshotRoundTripsUndrainedInboxes) {
+  const auto topo = Topology::grid(4, 4);
+  auto fill = [](Fabric& fabric) {
+    // Receivers 1, 5 and 6; node 5 is drained before the capture, node 1
+    // and node 6 keep two and one undrained frames.
+    const std::pair<std::uint32_t, std::uint32_t> sends[] = {
+        {2, 1}, {0, 1}, {4, 5}, {7, 6}};
+    std::uint8_t tag = 10;
+    for (const auto& [from, to] : sends) {
+      Envelope e = plain(NodeId{from}, NodeId{to}, tag);
+      e.payload.resize(3 + tag % 5, tag);
+      ++tag;
+      ASSERT_TRUE(fabric.send(e));
+    }
+    fabric.end_slot();
+    ASSERT_EQ(fabric.take_inbox(NodeId{5}).size(), 1u);
+    // One staged frame in flight; node 9 has spent its budget of 1.
+    ASSERT_TRUE(fabric.send(plain(NodeId{9}, NodeId{13}, 99)));
+  };
+  Fabric original(&topo, 1);
+  fill(original);
+  SnapshotWriter first;
+  original.snapshot_save(first);
+  const Bytes image = first.take();
+
+  Fabric restored(&topo, 1);
+  SnapshotReader reader(image);
+  restored.snapshot_load(reader);
+  SnapshotWriter second;
+  restored.snapshot_save(second);
+  EXPECT_EQ(second.take(), image);  // byte-identical round trip
+
+  // Node 6 stays undrained on the restored side (checked stale below).
+  for (std::uint32_t id = 0; id < topo.node_count(); ++id) {
+    const auto want = original.take_inbox(NodeId{id});
+    if (id == 6) {
+      EXPECT_EQ(want.size(), 1u);
+      continue;
+    }
+    const auto got = restored.take_inbox(NodeId{id});
+    ASSERT_EQ(got.size(), want.size()) << id;
+    for (std::size_t k = 0; k < got.size(); ++k) {
+      EXPECT_EQ(got[k].from, want[k].from);
+      EXPECT_EQ(got[k].to, want[k].to);
+      EXPECT_EQ(got[k].edge_key, want[k].edge_key);
+      EXPECT_EQ(got[k].edge_mac, want[k].edge_mac);
+      EXPECT_EQ(copy_of(got[k].payload), copy_of(want[k].payload));
+    }
+  }
+  // The restored budget holds, and the restored receivers — drained (1)
+  // or not (6) — are cleared by the next slot close like any others.
+  EXPECT_FALSE(restored.send(plain(NodeId{9}, NodeId{8}, 1)));
+  ASSERT_TRUE(restored.send(plain(NodeId{0}, NodeId{1}, 2)));
+  const auto receivers = restored.end_slot();
+  const std::vector<NodeId> got(receivers.begin(), receivers.end());
+  EXPECT_EQ(got, (std::vector<NodeId>{NodeId{1}, NodeId{13}}));
+  EXPECT_EQ(restored.take_inbox(NodeId{1}).size(), 1u);
+  EXPECT_TRUE(restored.take_inbox(NodeId{6}).empty());
+  EXPECT_EQ(restored.take_inbox(NodeId{13}).size(), 1u);
 }
 
 // --- large-n memory-diet structures ---

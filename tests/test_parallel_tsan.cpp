@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -188,6 +189,41 @@ TEST(ParallelTsan, LevelParallelAdversarialRunStaysSoundAndIdentical) {
   const auto serial = run_attacked(1);
   EXPECT_EQ(run_attacked(4), serial);
   EXPECT_EQ(run_attacked(hw), serial);
+}
+
+TEST(ParallelTsan, ActiveSetDriversAndShardedBroadcastAtThousandSensors) {
+  // n = 1,024, so every slot shards four ways: tree formation's adopter
+  // lists, aggregation's level buckets, confirmation's forwarder lists
+  // (the choke genome's spurious vetoes flood), the RX passes over
+  // end_slot()'s receivers, and the sharded authenticated broadcast. The
+  // outcome and the full event stream must not depend on the thread count.
+  auto run = [](std::size_t exec_threads, bool choke) {
+    set_intra_execution_threads(exec_threads);
+    const auto topo = Topology::grid(32, 32);
+    Network net(topo, testing::dense_keys());
+    std::unique_ptr<Adversary> adversary;
+    CoordinatorSpec cfg;
+    if (choke) {
+      const auto malicious = choose_malicious(topo, 3, 5);
+      adversary = std::make_unique<Adversary>(
+          &net, malicious, named_genome(NamedAttack::kChoke).strategy());
+      cfg.depth_bound = topo.depth(malicious) + 2;
+    }
+    VmatCoordinator coordinator(&net, adversary.get(), cfg);
+    FlightRecorder recorder;
+    coordinator.set_recorder(&recorder);
+    const auto outcome =
+        coordinator.run_min(testing::default_readings(net.node_count()));
+    set_intra_execution_threads(0);
+    return std::make_tuple(outcome.kind, outcome.minima, outcome.fabric_bytes,
+                           outcome.revoked_keys, recorder.events());
+  };
+  for (const bool choke : {false, true}) {
+    const auto serial = run(1, choke);
+    EXPECT_EQ(std::get<0>(serial), choke ? OutcomeKind::kRevocation
+                                         : OutcomeKind::kResult);
+    EXPECT_EQ(run(4, choke), serial) << (choke ? "choke" : "clean");
+  }
 }
 
 TEST(ParallelTsan, ExceptionUnderLoadLeavesPoolReusable) {
