@@ -98,16 +98,14 @@ CampaignCost run_campaign(std::uint32_t theta, std::uint64_t seed) {
   cfg.seed = seed;
   vmat::VmatCoordinator coordinator(&net, &adv, cfg);
 
-  std::vector<std::vector<vmat::Reading>> values(net.node_count());
-  std::vector<std::vector<std::int64_t>> weights(net.node_count());
-  for (std::uint32_t id = 0; id < net.node_count(); ++id) {
-    values[id] = {100 + static_cast<vmat::Reading>(id)};
-    weights[id] = {0};
-  }
+  vmat::ValueTable values(net.node_count(), 1, 0);
+  for (std::uint32_t id = 0; id < net.node_count(); ++id)
+    values.data[id] = 100 + static_cast<vmat::Reading>(id);
+  const vmat::ValueTable weights(net.node_count(), 1, 0);
   // Serve the retry loop over the current epoch instead of re-forming a
-  // tree per execution (run_until_result's execute() path): revocations
-  // invalidate the epoch — the protocol's actual re-formation rule — and
-  // everything else reuses the formed tree.
+  // tree per execution (the execute() path): revocations invalidate the
+  // epoch — the protocol's actual re-formation rule — and everything else
+  // reuses the formed tree.
   std::size_t executions = 0;
   for (; executions < 500; ) {
     if (!coordinator.epoch_ready()) (void)coordinator.prepare_epoch();

@@ -72,9 +72,8 @@ int main() {
   const ModeResult scratch = run_mode(probes, /*fork_probes=*/false);
 
   // The campaign's fork-reuse claim: zero formation rounds per probe after
-  // the first. (With VMAT_SNAPSHOT=0 the fork config silently runs the
-  // scratch path, so only assert when snapshots are live.)
-  if (vmat::snapshots_enabled() && fork.formations != 1) {
+  // the first.
+  if (fork.formations != 1) {
     std::fprintf(stderr,
                  "BENCH-CAMPAIGN: fork campaign ran %llu formations "
                  "(expected exactly 1)\n",

@@ -12,6 +12,7 @@
 // ThreadPool(1) trial pool; the engine under test gets its own pool so the
 // measured grid builds still parallelize. The table reports the minimum
 // over repeats (noise-robust for wall-clock).
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -64,17 +65,14 @@ double sequential_count(vmat::VmatCoordinator& coordinator,
                         const std::vector<std::uint8_t>& predicate,
                         std::uint64_t& bytes) {
   const std::uint32_t instances = coordinator.config().instances;
-  const std::size_t n = predicate.size();
+  const auto n = static_cast<std::uint32_t>(predicate.size());
   const vmat::SynopsisCodec codec(coordinator.fresh_nonce());
-  std::vector<std::vector<vmat::Reading>> values(
-      n, std::vector<vmat::Reading>(instances, vmat::kInfinity));
-  std::vector<std::vector<std::int64_t>> weights(
-      n, std::vector<std::int64_t>(instances, 0));
-  for (std::size_t id = 1; id < n; ++id) {
+  vmat::ValueTable values(n, instances, vmat::kInfinity);
+  vmat::ValueTable weights(n, instances, 0);
+  for (std::uint32_t id = 1; id < n; ++id) {
     if (predicate[id] == 0) continue;
-    codec.fill_values(vmat::NodeId{static_cast<std::uint32_t>(id)}, 1,
-                      values[id]);
-    weights[id].assign(instances, 1);
+    codec.fill_values(vmat::NodeId{id}, 1, values.row(id));
+    std::ranges::fill(weights.row(id), 1);
   }
   const vmat::ExecutionOutcome out = coordinator.execute(
       values, weights,

@@ -7,9 +7,7 @@
 //
 // The bench asserts the fork path is bit-identical to the scratch path —
 // same outcome kind, same minima, same fabric bytes, same per-phase
-// counters, trial by trial — and reports the fan-out speedup. With
-// VMAT_SNAPSHOT=0 the fork group silently degrades to private per-trial
-// snapshots (same bits, no sharing), which this bench also accepts.
+// counters, trial by trial — and reports the fan-out speedup.
 //
 // VMAT_BENCH_ACCEPT=1 runs the PR acceptance gate instead: at n=4000 the
 // forked fan-out must complete >= 2x faster than the scratch fan-out,

@@ -69,12 +69,10 @@ Outcome run_campaign(std::uint32_t f, std::uint32_t theta,
   cfg.seed = seed;
   vmat::VmatCoordinator coordinator(&net, adv.get(), cfg);
 
-  std::vector<std::vector<vmat::Reading>> values(net.node_count());
-  std::vector<std::vector<std::int64_t>> weights(net.node_count());
-  for (std::uint32_t id = 0; id < net.node_count(); ++id) {
-    values[id] = {100 + static_cast<vmat::Reading>(id)};
-    weights[id] = {0};
-  }
+  vmat::ValueTable values(net.node_count(), 1, 0);
+  for (std::uint32_t id = 0; id < net.node_count(); ++id)
+    values.data[id] = 100 + static_cast<vmat::Reading>(id);
+  const vmat::ValueTable weights(net.node_count(), 1, 0);
 
   Outcome out;
   int consecutive_results = 0;

@@ -6,7 +6,6 @@
 #include <cstdlib>
 #include <fstream>
 #include <mutex>
-#include <optional>
 
 #include "crypto/mac_batch.h"
 #include "sim/fabric.h"
@@ -227,7 +226,6 @@ void BenchReport::write() const {
   w.field("exec_threads",
           static_cast<std::uint64_t>(intra_execution_threads()));
   w.field("mac_kernel", mac_kernel_name(MacBatch::active_impl()));
-  w.field("snapshot_fork", snapshots_enabled());
   w.end_object();
 
   w.begin_object("config");
@@ -316,23 +314,18 @@ void forked_timed_trials(TrialGroup& group, std::size_t n,
                          std::uint64_t base_seed, const ForkFactory& factory,
                          const ForkTrialFn& fn, ThreadPool* pool) {
   group.trial_ms.assign(n, 0.0);
-  const bool sharing = snapshots_enabled();
+  // Capture the shared prefix once; the capture deployment then joins the
+  // free list and serves forks like any other.
   std::mutex idle_mutex;
   std::vector<std::unique_ptr<ForkDeployment>> idle;
-  std::optional<Snapshot> shared;
-  if (sharing) {
-    // Capture the shared prefix once; the capture deployment then joins
-    // the free list and serves forks like any other.
-    std::unique_ptr<ForkDeployment> first = factory();
-    shared = first->coordinator->snapshot_after_formation();
-    idle.push_back(std::move(first));
-  }
+  idle.push_back(factory());
+  const Snapshot shared = idle.back()->coordinator->snapshot_after_formation();
   parallel_for_trials(
       n, base_seed,
-      [&group, &factory, &fn, &idle_mutex, &idle, &shared,
-       sharing](std::size_t trial, Rng& rng) {
+      [&group, &factory, &fn, &idle_mutex, &idle, &shared](std::size_t trial,
+                                                           Rng& rng) {
         std::unique_ptr<ForkDeployment> fork;
-        if (sharing) {
+        {
           const std::lock_guard<std::mutex> lock(idle_mutex);
           if (!idle.empty()) {
             fork = std::move(idle.back());
@@ -340,27 +333,14 @@ void forked_timed_trials(TrialGroup& group, std::size_t n,
           }
         }
         if (fork == nullptr) fork = factory();
-        if (sharing) {
-          const auto start = std::chrono::steady_clock::now();
-          fn(trial, rng, *fork, *shared);
-          group.trial_ms[trial] =
-              std::chrono::duration<double, std::milli>(
-                  std::chrono::steady_clock::now() - start)
-                  .count();
-          const std::lock_guard<std::mutex> lock(idle_mutex);
-          idle.push_back(std::move(fork));
-        } else {
-          // VMAT_SNAPSHOT=0: no cross-trial sharing, no recycling. The
-          // private capture is bit-identical to the shared one (same
-          // factory, same seed), so only the cost changes.
-          const Snapshot priv = fork->coordinator->snapshot_after_formation();
-          const auto start = std::chrono::steady_clock::now();
-          fn(trial, rng, *fork, priv);
-          group.trial_ms[trial] =
-              std::chrono::duration<double, std::milli>(
-                  std::chrono::steady_clock::now() - start)
-                  .count();
-        }
+        const auto start = std::chrono::steady_clock::now();
+        fn(trial, rng, *fork, shared);
+        group.trial_ms[trial] =
+            std::chrono::duration<double, std::milli>(
+                std::chrono::steady_clock::now() - start)
+                .count();
+        const std::lock_guard<std::mutex> lock(idle_mutex);
+        idle.push_back(std::move(fork));
       },
       pool);
 }

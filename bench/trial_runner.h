@@ -145,12 +145,9 @@ using ForkTrialFn = std::function<void(
 
 /// Fork-fan-out twin of timed_trials(): capture the post-formation prefix
 /// ONCE from a factory-built deployment, then run `n` timed trials that
-/// each resume from that shared snapshot on a recycled deployment. With
-/// VMAT_SNAPSHOT=0 the sharing is disabled — every trial builds a private
-/// deployment and resumes from its own freshly captured snapshot, which is
-/// bit-identical to the shared one (same factory, same seed), so results
-/// never depend on the escape hatch. Timings cover fn only (construction
-/// and capture are untimed in both modes).
+/// each resume from that shared snapshot on a recycled deployment (a new
+/// factory product only when every built one is busy). Timings cover fn
+/// only (construction and capture are untimed).
 void forked_timed_trials(TrialGroup& group, std::size_t n,
                          std::uint64_t base_seed, const ForkFactory& factory,
                          const ForkTrialFn& fn, ThreadPool* pool = nullptr);

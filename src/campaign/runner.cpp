@@ -99,8 +99,7 @@ CampaignRunner::CampaignRunner(CampaignConfig config)
       choose_malicious(topology, config_.compromised, config_.placement_seed);
   if (spec_.depth_bound() == 0) spec_.depth_bound(topology.depth(malicious_));
 
-  fork_ = config_.fork_probes && snapshots_enabled();
-  if (fork_) {
+  if (config_.fork_probes) {
     net_ = std::make_unique<Network>(spec_);
     formation_adversary_ = std::make_unique<Adversary>(
         net_.get(), malicious_,
@@ -131,7 +130,7 @@ ProbeOutcome CampaignRunner::probe(const CampaignEntry& entry,
                                    FlightRecorder& recorder) {
   const std::vector<Reading> readings = probe_readings(entry.seed);
   recorder.clear();
-  if (fork_) {
+  if (config_.fork_probes) {
     Adversary adversary(net_.get(), malicious_,
                         std::make_unique<PredicatedStrategy>(
                             entry.policy, entry.when, entry.seed));
@@ -310,13 +309,9 @@ void CampaignRunner::deepen_ruin(const CampaignEntry& entry,
                       std::make_unique<PredicatedStrategy>(
                           entry.policy, entry.when, entry.seed));
   VmatCoordinator coordinator(&net, &adversary, spec_);
-  const std::vector<Reading> readings = probe_readings(entry.seed);
-  std::vector<std::vector<Reading>> values(spec_.nodes());
-  std::vector<std::vector<std::int64_t>> weights(spec_.nodes());
-  for (std::uint32_t id = 0; id < spec_.nodes(); ++id) {
-    values[id] = {readings[id]};
-    weights[id] = {0};
-  }
+  ValueTable values(spec_.nodes(), 1, 0);
+  values.data = probe_readings(entry.seed);
+  const ValueTable weights(spec_.nodes(), 1, 0);
   constexpr int kStreakCap = 50;
   int ruined = 0;
   int executions = 0;

@@ -54,10 +54,9 @@ struct CampaignConfig {
   /// Fuzzer seed: drives genome generation and mutation.
   std::uint64_t seed{1};
   /// Fork probes from one shared post-formation snapshot (default). When
-  /// false — or when snapshots are disabled via VMAT_SNAPSHOT=0 — every
-  /// probe builds a private deployment and executes from scratch;
-  /// bit-identical results either way (the snapshot contract), only the
-  /// formation count and wall clock differ.
+  /// false, every probe builds a private deployment and executes from
+  /// scratch; bit-identical results either way (the snapshot contract),
+  /// only the formation count and wall clock differ.
   bool fork_probes{true};
   /// Optional seed corpus to mutate from.
   Corpus seeds{};
@@ -156,7 +155,6 @@ class CampaignRunner {
   CampaignConfig config_;
   SimulationSpec spec_;  ///< config_.spec with instances/depth_bound pinned
   std::unordered_set<NodeId> malicious_;
-  bool fork_{true};
   /// Shared fork deployment (fork mode; unused for scratch probes).
   std::unique_ptr<Network> net_;
   std::unique_ptr<Adversary> formation_adversary_;

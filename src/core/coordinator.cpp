@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <type_traits>
 
 #include "spec/simulation_spec.h"
 #include "util/parallel.h"
@@ -23,31 +22,6 @@ constexpr std::uint32_t kTreeSection = 0x54524532;   // "TRE2" (CSR parents)
 constexpr std::uint32_t kAuditSection = 0x41554432;  // "AUD2" (pooled audit)
 constexpr std::uint32_t kTraceSection = 0x54524143;  // "TRAC"
 
-// The snapshot encodes these wholesale as flat pods.
-static_assert(std::is_trivially_copyable_v<Epoch>);
-static_assert(std::is_trivially_copyable_v<ParentLink>);
-static_assert(std::is_trivially_copyable_v<ReceivedRecord>);
-static_assert(std::is_trivially_copyable_v<ForwardRecord>);
-static_assert(std::is_trivially_copyable_v<VetoMsg>);
-static_assert(std::is_trivially_copyable_v<TraceEvent>);
-
-/// Buffers the event stream of a capture prefix while forwarding it to the
-/// user's sink (if any) — so snapshot_after_formation()/prepare_epoch()
-/// record the same events a plain execute()/prepare_epoch() would, and the
-/// buffered copy replays into forks' sinks on restore.
-struct TeeSink final : TraceSink {
-  TraceSink* downstream{nullptr};
-  std::vector<TraceEvent>* buffer{nullptr};
-
-  void on_event(const TraceEvent& event) override {
-    buffer->push_back(event);
-    if (downstream != nullptr) downstream->on_event(event);
-  }
-  void on_execution_end(const ExecutionMetrics& metrics) override {
-    if (downstream != nullptr) downstream->on_execution_end(metrics);
-  }
-};
-
 CoordinatorSpec validated_coordinator_spec(const SimulationSpec& spec) {
   const auto errors = spec.validate();
   if (!errors.empty()) {
@@ -61,7 +35,90 @@ CoordinatorSpec validated_coordinator_spec(const SimulationSpec& spec) {
   return spec.coordinator();
 }
 
+/// Throws std::invalid_argument unless both tables cover all `nodes` and
+/// are `width` wide.
+void check_tables(const ValueTable& values, const ValueTable& weights,
+                  std::uint32_t nodes, std::uint32_t width) {
+  for (const ValueTable* t : {&values, &weights})
+    if (t->node_count != nodes || t->instances != width ||
+        t->data.size() != static_cast<std::size_t>(nodes) * width)
+      throw std::invalid_argument(
+          "VmatCoordinator: values/weights must cover all nodes at the "
+          "execution's instance count");
+}
+
+/// The revocation/key-material counters `epoch` was formed under still
+/// hold (any change means its formed tree may be stale).
+bool key_material_unchanged(const Network& net, const Epoch& epoch) noexcept {
+  return net.revocation().revoked_key_count() == epoch.revoked_keys &&
+         net.revocation().revoked_sensors_in_order().size() ==
+             epoch.revoked_sensors &&
+         net.key_generation() == epoch.key_generation;
+}
+
 }  // namespace
+
+/// The one attachment scope. Opening a slice resets the trace state
+/// (begin_execution / begin_epoch) unless a restored prefix continues one;
+/// a capturing slice first tees the event stream, so the user's sink (if
+/// any) observes it live and the buffered copy replays into forks' sinks
+/// on restore. The destructor detaches the network tracer and restores the
+/// user's sink on every exit path, so no component keeps a handle into a
+/// dead coordinator.
+class VmatCoordinator::Attachment {
+ public:
+  enum class Slice : std::uint8_t {
+    kExecution,        ///< execute(), run_query()
+    kExecutionPrefix,  ///< snapshot_after_formation(): teed, captured
+    kEpoch,            ///< prepare_epoch(): teed, captured
+    kResume,           ///< resume_min(): the restored prefix's slice goes on
+  };
+
+  Attachment(VmatCoordinator& owner, Slice slice)
+      : slice(slice), owner_(owner) {
+    tee_.downstream = owner_.trace_state_.sink;
+    if (slice == Slice::kExecutionPrefix || slice == Slice::kEpoch)
+      owner_.trace_state_.sink = &tee_;
+    if (slice == Slice::kEpoch)
+      tracer().begin_epoch();
+    else if (slice != Slice::kResume)
+      tracer().begin_execution();
+    owner_.net_->set_tracer(tracer());
+  }
+  ~Attachment() {
+    owner_.net_->set_tracer({});
+    owner_.trace_state_.sink = tee_.downstream;
+  }
+  Attachment(const Attachment&) = delete;
+  Attachment& operator=(const Attachment&) = delete;
+
+  [[nodiscard]] Tracer tracer() const noexcept {
+    return Tracer{&owner_.trace_state_};
+  }
+  /// The slice's events so far (empty unless it captures).
+  [[nodiscard]] const std::vector<TraceEvent>& prefix() const noexcept {
+    return tee_.buffer;
+  }
+
+  const Slice slice;
+
+ private:
+  struct Tee final : TraceSink {
+    TraceSink* downstream{nullptr};  ///< the user's sink
+    std::vector<TraceEvent> buffer;
+
+    void on_event(const TraceEvent& event) override {
+      buffer.push_back(event);
+      if (downstream != nullptr) downstream->on_event(event);
+    }
+    void on_execution_end(const ExecutionMetrics& metrics) override {
+      if (downstream != nullptr) downstream->on_execution_end(metrics);
+    }
+  };
+
+  VmatCoordinator& owner_;
+  Tee tee_;
+};
 
 VmatCoordinator::VmatCoordinator(Network* net, Adversary* adversary,
                                  CoordinatorSpec config)
@@ -149,14 +206,19 @@ void VmatCoordinator::authenticated_broadcast(const Bytes& payload,
   rounds += 1;
 }
 
-void VmatCoordinator::form_tree(std::uint64_t session, int& rounds,
-                                Tracer tracer) {
+VmatCoordinator::Formed VmatCoordinator::form(Attachment& scope) {
+  Tracer tracer = scope.tracer();
+  // Forming a tree orphans any epoch tree a serving layer may have
+  // prepared; prepare_epoch() re-validates its own below.
+  epoch_stale_ = true;
+  Formed formed;
+  const std::uint64_t session = fresh_nonce();
   {
     ByteWriter announce;
     announce.str("vmat.announce.tree");
     announce.u64(session);
     tracer.begin_phase(TracePhase::kBroadcast);
-    authenticated_broadcast(announce.take(), rounds, tracer);
+    authenticated_broadcast(announce.take(), formed.rounds, tracer);
   }
   TreePhaseParams tree_params;
   tree_params.mode = config_.tree_mode;
@@ -164,13 +226,42 @@ void VmatCoordinator::form_tree(std::uint64_t session, int& rounds,
   tree_params.session = session;
   tracer.begin_phase(TracePhase::kTreeFormation);
   tree_ = run_tree_formation(*net_, adversary_, tree_params, tracer);
-  rounds += 1;
+  formed.rounds += 1;
   formations_ += 1;
+
+  switch (scope.slice) {
+    case Attachment::Slice::kExecutionPrefix:
+      formed.snapshot = capture_snapshot(SnapshotKind::kExecutionPrefix,
+                                         formed.rounds, scope.prefix());
+      break;
+    case Attachment::Slice::kEpoch:
+      tracer.end_epoch();
+      epoch_.id += 1;
+      epoch_.session = session;
+      epoch_.formation_rounds = formed.rounds;
+      epoch_.metrics = trace_state_.metrics;
+      epoch_.fabric_bytes = epoch_.metrics.totals().bytes_sent;
+      epoch_.revoked_keys = net_->revocation().revoked_key_count();
+      epoch_.revoked_sensors =
+          net_->revocation().revoked_sensors_in_order().size();
+      epoch_.key_generation = net_->key_generation();
+      epoch_stale_ = false;
+      formed.snapshot = capture_snapshot(SnapshotKind::kEpoch, formed.rounds,
+                                         scope.prefix());
+      break;
+    case Attachment::Slice::kExecution:
+    case Attachment::Slice::kResume:
+      break;
+  }
+  return formed;
 }
 
 ValueTable VmatCoordinator::min_values(const std::vector<Reading>& readings) {
   if (config_.instances != 1)
     throw std::logic_error("run_min/resume_min require instances == 1");
+  if (readings.size() != net_->node_count())
+    throw std::invalid_argument(
+        "run_min/resume_min: readings must cover all nodes");
   ValueTable values(static_cast<std::uint32_t>(readings.size()), 1, 0);
   for (std::size_t i = 0; i < readings.size(); ++i) {
     const NodeId node{static_cast<std::uint32_t>(i)};
@@ -189,122 +280,48 @@ ExecutionOutcome VmatCoordinator::run_min(
   return execute(values, weights);
 }
 
+ExecutionOutcome VmatCoordinator::execute(const ValueTable& values,
+                                          const ValueTable& weights,
+                                          const ContentValidator& validate) {
+  check_tables(values, weights, net_->node_count(), config_.instances);
+  Attachment scope(*this, Attachment::Slice::kExecution);
+  const Formed formed = form(scope);
+  return run_query_phases(values, weights, validate, scope.tracer(),
+                          formed.rounds);
+}
+
 const Epoch& VmatCoordinator::prepare_epoch() {
-  // With snapshots enabled, tee the epoch slice's event stream so the
-  // kEpoch snapshot captured below can replay it on rearm_epoch().
-  std::vector<TraceEvent> prefix;
-  TeeSink tee;
-  tee.downstream = trace_state_.sink;
-  tee.buffer = &prefix;
-  TraceSink* const user_sink = trace_state_.sink;
-  const bool capture = snapshots_enabled();
-  if (capture) trace_state_.sink = &tee;
-
-  Tracer tracer{&trace_state_};
-  tracer.begin_epoch();
-  net_->set_tracer(tracer);
-  struct TracerDetach {
-    Network* net;
-    TraceState* ts;
-    TraceSink* user;
-    ~TracerDetach() {
-      net->set_tracer({});
-      ts->sink = user;
-    }
-  } detach{net_, &trace_state_, user_sink};
-
-  int rounds = 0;
-  const std::uint64_t session = fresh_nonce();
-  form_tree(session, rounds, tracer);
-  tracer.end_epoch();
-
-  epoch_.id += 1;
-  epoch_.session = session;
-  epoch_.formation_rounds = rounds;
-  epoch_.metrics = trace_state_.metrics;
-  epoch_.fabric_bytes = epoch_.metrics.totals().bytes_sent;
-  epoch_.revoked_keys = net_->revocation().revoked_key_count();
-  epoch_.revoked_sensors = net_->revocation().revoked_sensors_in_order().size();
-  epoch_.key_generation = net_->key_generation();
-  epoch_stale_ = false;
-  if (capture) {
-    epoch_snapshot_ = capture_snapshot(SnapshotKind::kEpoch, rounds, prefix);
-    epoch_snapshot_meta_ = epoch_;
-  }
+  Attachment scope(*this, Attachment::Slice::kEpoch);
+  Formed formed = form(scope);
+  epoch_snapshot_ = std::move(formed.snapshot);
+  epoch_snapshot_meta_ = epoch_;
   return epoch_;
 }
 
 bool VmatCoordinator::epoch_ready() const noexcept {
   return !epoch_stale_ && epoch_.id != 0 &&
-         net_->revocation().revoked_key_count() == epoch_.revoked_keys &&
-         net_->revocation().revoked_sensors_in_order().size() ==
-             epoch_.revoked_sensors &&
-         net_->key_generation() == epoch_.key_generation;
+         key_material_unchanged(*net_, epoch_);
 }
 
-ExecutionOutcome VmatCoordinator::run_query(
-    const std::vector<std::vector<Reading>>& values,
-    const std::vector<std::vector<std::int64_t>>& weights,
-    const ContentValidator& validate, std::uint32_t instances) {
+ExecutionOutcome VmatCoordinator::run_query(const ValueTable& values,
+                                            const ValueTable& weights,
+                                            const ContentValidator& validate) {
+  if (values.instances == 0)
+    throw std::invalid_argument("run_query: zero-width value table");
+  check_tables(values, weights, net_->node_count(), values.instances);
   if (!epoch_ready())
     throw std::logic_error(
         "run_query: no ready epoch — call prepare_epoch() first (a "
         "revocation or rekey invalidates the current epoch)");
-  Tracer tracer{&trace_state_};
-  tracer.begin_execution();
-  net_->set_tracer(tracer);
-  struct TracerDetach {
-    Network* net;
-    ~TracerDetach() { net->set_tracer({}); }
-  } detach{net_};
-  const std::uint32_t inst = instances == 0 ? config_.instances : instances;
-  return run_query_phases(ValueTable::from_nested(values, inst, kInfinity),
-                          ValueTable::from_nested(weights, inst, 0), validate,
-                          inst, tracer, 0);
-}
-
-ExecutionOutcome VmatCoordinator::execute(
-    const std::vector<std::vector<Reading>>& values,
-    const std::vector<std::vector<std::int64_t>>& weights,
-    const ContentValidator& validate) {
-  return execute(
-      ValueTable::from_nested(values, config_.instances, kInfinity),
-      ValueTable::from_nested(weights, config_.instances, 0), validate);
-}
-
-ExecutionOutcome VmatCoordinator::execute(const ValueTable& values,
-                                          const ValueTable& weights,
-                                          const ContentValidator& validate) {
-  // Attach the flight recorder for exactly this execution: the Tracer
-  // handles passed down all point at trace_state_, and the network-side
-  // attachment is undone on every exit path so no component keeps a handle
-  // into a dead coordinator.
-  Tracer tracer{&trace_state_};
-  tracer.begin_execution();
-  net_->set_tracer(tracer);
-  struct TracerDetach {
-    Network* net;
-    ~TracerDetach() { net->set_tracer({}); }
-  } detach{net_};
-
-  // A one-shot execution forms its own tree, which orphans any epoch tree
-  // a serving layer may have prepared.
-  epoch_stale_ = true;
-
-  int rounds = 0;
-  const std::uint64_t session = fresh_nonce();
-  form_tree(session, rounds, tracer);
-  return run_query_phases(values, weights, validate, config_.instances,
-                          tracer, rounds);
+  Attachment scope(*this, Attachment::Slice::kExecution);
+  return run_query_phases(values, weights, validate, scope.tracer(), 0);
 }
 
 ExecutionOutcome VmatCoordinator::run_query_phases(
     const ValueTable& values, const ValueTable& weights,
-    const ContentValidator& validate, std::uint32_t instances, Tracer tracer,
-    int rounds_so_far) {
+    const ContentValidator& validate, Tracer tracer, int rounds_so_far) {
   const std::uint32_t n = net_->node_count();
-  if (values.node_count != n || weights.node_count != n)
-    throw std::invalid_argument("execute: values/weights must cover all nodes");
+  const std::uint32_t instances = values.instances;
 
   // Arm `(round>= N)` trigger predicates: one bump per execution, on every
   // entry path (execute / run_query / resume_min).
@@ -340,6 +357,11 @@ ExecutionOutcome VmatCoordinator::run_query_phases(
     o.fabric_bytes = o.metrics.totals().bytes_sent;
     return o;
   };
+  auto pinpoint = [&] {
+    tracer.begin_phase(TracePhase::kPinpoint);
+    return PinpointEngine(net_, adversary_, &audits_, &tree_,
+                          config_.predicate_mode, tracer);
+  };
   auto finish_pinpoint = [&](PinpointOutcome&& pp, Trigger trigger) {
     out.kind = OutcomeKind::kRevocation;
     out.trigger = trigger;
@@ -347,6 +369,15 @@ ExecutionOutcome VmatCoordinator::run_query_phases(
     out.revoked_sensors = std::move(pp.revoked_sensors);
     out.reason = std::move(pp.reason);
     out.pinpoint_cost = pp.cost;
+    return finish(out);
+  };
+  // A valid sensor-key MAC over impossible content: only the origin's key
+  // holder could have signed it. Revoke the origin outright.
+  auto self_incriminated = [&](NodeId origin, const char* reason) {
+    out.kind = OutcomeKind::kRevocation;
+    out.trigger = Trigger::kSelfIncrimination;
+    out.reason = reason;
+    out.revoked_sensors = net_->revocation().revoke_sensor(origin);
     return finish(out);
   };
 
@@ -362,24 +393,17 @@ ExecutionOutcome VmatCoordinator::run_query_phases(
     tracer.mac_verify(a.msg.origin, kNoKey, mac_ok);
     if (!mac_ok) {
       tracer.arrival_rejected(a.msg.origin, a.slot, a.msg.value);
-      tracer.begin_phase(TracePhase::kPinpoint);
-      PinpointEngine engine(net_, adversary_, &audits_, &tree_,
-                             config_.predicate_mode, tracer);
       return finish_pinpoint(
-          engine.junk_triggered_aggregation(a.msg, a.in_edge, a.slot),
+          pinpoint().junk_triggered_aggregation(a.msg, a.in_edge, a.slot),
           Trigger::kJunkAggregation);
     }
     const bool content_ok =
         validate ? validate(a.msg) : a.msg.weight == 0;
     if (!content_ok) {
-      // Valid sensor-key MAC over impossible content: only the origin's key
-      // holder could have signed it. Revoke the origin outright.
       tracer.arrival_rejected(a.msg.origin, a.slot, a.msg.value);
-      out.kind = OutcomeKind::kRevocation;
-      out.trigger = Trigger::kSelfIncrimination;
-      out.reason = "aggregation message with valid MAC but invalid content";
-      out.revoked_sensors = net_->revocation().revoke_sensor(a.msg.origin);
-      return finish(out);
+      return self_incriminated(
+          a.msg.origin,
+          "aggregation message with valid MAC but invalid content");
     }
     tracer.arrival_accepted(a.msg.origin, a.slot, a.msg.value);
     if (a.msg.value < minima[a.msg.instance]) minima[a.msg.instance] = a.msg.value;
@@ -412,11 +436,8 @@ ExecutionOutcome VmatCoordinator::run_query_phases(
     tracer.mac_verify(v.msg.origin, kNoKey, mac_ok);
     if (!mac_ok) {
       tracer.arrival_rejected(v.msg.origin, v.interval, v.msg.value);
-      tracer.begin_phase(TracePhase::kPinpoint);
-      PinpointEngine engine(net_, adversary_, &audits_, &tree_,
-                             config_.predicate_mode, tracer);
       return finish_pinpoint(
-          engine.junk_triggered_confirmation(v.msg, v.in_edge, v.interval),
+          pinpoint().junk_triggered_confirmation(v.msg, v.in_edge, v.interval),
           Trigger::kJunkConfirmation);
     }
     const bool semantics_ok = v.msg.instance < instances &&
@@ -424,21 +445,15 @@ ExecutionOutcome VmatCoordinator::run_query_phases(
                               v.msg.value < minima[v.msg.instance];
     if (!semantics_ok) {
       tracer.arrival_rejected(v.msg.origin, v.interval, v.msg.value);
-      out.kind = OutcomeKind::kRevocation;
-      out.trigger = Trigger::kSelfIncrimination;
-      out.reason = "veto with valid MAC but impossible claim";
-      out.revoked_sensors = net_->revocation().revoke_sensor(v.msg.origin);
-      return finish(out);
+      return self_incriminated(v.msg.origin,
+                               "veto with valid MAC but impossible claim");
     }
     tracer.arrival_accepted(v.msg.origin, v.interval, v.msg.value);
     if (legit == nullptr) legit = &v;
   }
-  if (legit != nullptr) {
-    tracer.begin_phase(TracePhase::kPinpoint);
-    PinpointEngine engine(net_, adversary_, &audits_, &tree_,
-                          config_.predicate_mode, tracer);
-    return finish_pinpoint(engine.veto_triggered(legit->msg), Trigger::kVeto);
-  }
+  if (legit != nullptr)
+    return finish_pinpoint(pinpoint().veto_triggered(legit->msg),
+                           Trigger::kVeto);
 
   // --- Figure 1 step 6: no veto, the minima are correct ---
   out.kind = OutcomeKind::kResult;
@@ -606,35 +621,8 @@ void VmatCoordinator::restore_snapshot(const Snapshot& snapshot,
 }
 
 Snapshot VmatCoordinator::snapshot_after_formation() {
-  // Tee the prefix's event stream: the user's sink (if any) observes it
-  // live, and the buffered copy replays into forks' sinks on restore.
-  std::vector<TraceEvent> prefix;
-  TeeSink tee;
-  tee.downstream = trace_state_.sink;
-  tee.buffer = &prefix;
-  TraceSink* const user_sink = trace_state_.sink;
-  trace_state_.sink = &tee;
-
-  Tracer tracer{&trace_state_};
-  tracer.begin_execution();
-  net_->set_tracer(tracer);
-  struct TracerDetach {
-    Network* net;
-    TraceState* ts;
-    TraceSink* user;
-    ~TracerDetach() {
-      net->set_tracer({});
-      ts->sink = user;
-    }
-  } detach{net_, &trace_state_, user_sink};
-
-  // Same prefix as execute(): orphan any prepared epoch, fresh session,
-  // announcement + tree formation.
-  epoch_stale_ = true;
-  int rounds = 0;
-  const std::uint64_t session = fresh_nonce();
-  form_tree(session, rounds, tracer);
-  return capture_snapshot(SnapshotKind::kExecutionPrefix, rounds, prefix);
+  Attachment scope(*this, Attachment::Slice::kExecutionPrefix);
+  return form(scope).snapshot;
 }
 
 ExecutionOutcome VmatCoordinator::resume_min(
@@ -648,25 +636,16 @@ ExecutionOutcome VmatCoordinator::resume_min(
   restore_snapshot(snapshot, -1);
   // Mid-execution: the captured prefix already ran begin_execution() (its
   // metrics and ordinal were just restored), so attach without resetting.
-  Tracer tracer{&trace_state_};
-  net_->set_tracer(tracer);
-  struct TracerDetach {
-    Network* net;
-    ~TracerDetach() { net->set_tracer({}); }
-  } detach{net_};
-  return run_query_phases(values, weights, {}, 1, tracer,
+  Attachment scope(*this, Attachment::Slice::kResume);
+  return run_query_phases(values, weights, {}, scope.tracer(),
                           snapshot.formation_rounds());
 }
 
 bool VmatCoordinator::rearm_epoch() {
-  if (!snapshots_enabled() || !epoch_snapshot_.has_value()) return false;
   // The formed tree is stale if anything revocation/key-shaped moved since
   // capture; only a real prepare_epoch() may serve then.
-  if (net_->revocation().revoked_key_count() !=
-          epoch_snapshot_meta_.revoked_keys ||
-      net_->revocation().revoked_sensors_in_order().size() !=
-          epoch_snapshot_meta_.revoked_sensors ||
-      net_->key_generation() != epoch_snapshot_meta_.key_generation)
+  if (!epoch_snapshot_.has_value() ||
+      !key_material_unchanged(*net_, epoch_snapshot_meta_))
     return false;
 
   // Monotone counters survive the rewind: the nonce stream, the broadcast
@@ -687,20 +666,6 @@ bool VmatCoordinator::rearm_epoch() {
   epoch_.id = cur_epoch_id + 1;
   epoch_stale_ = false;
   return true;
-}
-
-std::vector<ExecutionOutcome> VmatCoordinator::run_until_result(
-    const std::vector<std::vector<Reading>>& values,
-    const std::vector<std::vector<std::int64_t>>& weights,
-    const ContentValidator& validate, int max_executions) {
-  std::vector<ExecutionOutcome> history;
-  for (int i = 0; i < max_executions; ++i) {
-    history.push_back(execute(values, weights, validate));
-    if (history.back().produced_result()) return history;
-  }
-  throw std::runtime_error(
-      "run_until_result: no result after max_executions — an execution "
-      "failed to revoke adversary material (Theorem 7 violation)");
 }
 
 }  // namespace vmat

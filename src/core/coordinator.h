@@ -9,13 +9,20 @@
 // keys/sensors revoked (guaranteed adversary-held, Theorem 6) — the
 // Theorem 7 disjunction.
 //
+// Every entry point runs one pipeline, form → (optional snapshot) → run,
+// over ValueTable inputs checked before any work: one private form step
+// serves execute(), snapshot_after_formation() and prepare_epoch(); one
+// query run serves execute(), run_query() and resume_min().
+//
 // The serving split: execute() is the one-shot form. A serving layer
 // (engine/engine.h) instead calls prepare_epoch() once — announcement +
-// tree formation under a fresh session — and then run_query() many times
-// over the shared tree; the epoch stays valid until a revocation (or
-// rekey/path-key change) invalidates the formed tree. Each run_query()
-// uses fresh query/confirmation nonces, so the per-execution security
-// argument is unchanged — only the tree-formation cost is amortized.
+// tree formation under a fresh session, captured as a kEpoch snapshot —
+// and then run_query() many times over the shared tree; the epoch stays
+// valid until a revocation (or rekey/path-key change) invalidates the
+// formed tree. Each run_query() uses fresh query/confirmation nonces, so
+// the per-execution security argument is unchanged — only the
+// tree-formation cost is amortized. The engine's
+// EngineQuery::max_executions is the one Theorem 7 retry budget.
 #pragma once
 
 #include <functional>
@@ -98,6 +105,8 @@ struct Epoch {
   std::uint64_t session{0};  ///< the tree-formation session nonce
   /// Flooding rounds spent on formation (announcement + tree phase).
   int formation_rounds{0};
+  /// Explicit zero padding: snapshots copy an Epoch byte for byte.
+  std::uint32_t padding{0};
   /// Metrics for the formation slice only; query executions meter their
   /// own slices into ExecutionOutcome::metrics.
   ExecutionMetrics metrics;
@@ -121,13 +130,9 @@ class VmatCoordinator {
 
   /// One full execution over per-node, per-instance values/weights
   /// (kInfinity value = the node contributes nothing for that instance).
-  /// `validate` defaults to "raw reading" semantics (weight must be 0).
-  /// The nested form converts at the boundary; the ValueTable overload is
-  /// the allocation-lean path large-n drivers (run_min, benches) use.
-  [[nodiscard]] ExecutionOutcome execute(
-      const std::vector<std::vector<Reading>>& values,
-      const std::vector<std::vector<std::int64_t>>& weights,
-      const ContentValidator& validate = {});
+  /// Both tables must cover every node and be config().instances wide;
+  /// otherwise std::invalid_argument is thrown before any work. `validate`
+  /// defaults to "raw reading" semantics (weight must be 0).
   [[nodiscard]] ExecutionOutcome execute(const ValueTable& values,
                                          const ValueTable& weights,
                                          const ContentValidator& validate = {});
@@ -135,7 +140,8 @@ class VmatCoordinator {
   // --- epoch-batched serving (engine/engine.h drives these) ---
 
   /// Form (or re-form) the epoch: authenticated announcement + tree
-  /// formation under a fresh session nonce. Returns the epoch descriptor.
+  /// formation under a fresh session nonce, captured as the kEpoch snapshot
+  /// rearm_epoch() restores. Returns the epoch descriptor.
   const Epoch& prepare_epoch();
 
   /// A prepare_epoch() tree exists and no revocation / rekey / path-key
@@ -147,26 +153,18 @@ class VmatCoordinator {
 
   /// One query execution over the current epoch's tree: query announcement
   /// → aggregation → minima announcement → confirmation → classification,
-  /// with fresh per-query nonces. Requires epoch_ready() (throws
-  /// std::logic_error otherwise). `instances` overrides config().instances
-  /// for this execution (0 = config value) — the serving engine packs many
-  /// queries into one wide execution this way. A kRevocation outcome
-  /// invalidates the epoch.
+  /// with fresh per-query nonces. The execution is as wide as the tables
+  /// (the serving engine packs many queries into one wide execution); both
+  /// must cover every node and have the same nonzero width, else
+  /// std::invalid_argument. Requires epoch_ready() (throws std::logic_error
+  /// otherwise). A kRevocation outcome invalidates the epoch.
   [[nodiscard]] ExecutionOutcome run_query(
-      const std::vector<std::vector<Reading>>& values,
-      const std::vector<std::vector<std::int64_t>>& weights,
-      const ContentValidator& validate = {}, std::uint32_t instances = 0);
+      const ValueTable& values, const ValueTable& weights,
+      const ContentValidator& validate = {});
 
-  /// Plain MIN query over one reading per node (instances must be 1).
+  /// Plain MIN query over one reading per node (instances must be 1; the
+  /// readings must cover every node).
   [[nodiscard]] ExecutionOutcome run_min(const std::vector<Reading>& readings);
-
-  /// Re-run the same query until it produces a result, revoking adversary
-  /// keys along the way — the "strictly diminishing capability" loop.
-  /// Throws after `max_executions` attempts.
-  [[nodiscard]] std::vector<ExecutionOutcome> run_until_result(
-      const std::vector<std::vector<Reading>>& values,
-      const std::vector<std::vector<std::int64_t>>& weights,
-      const ContentValidator& validate = {}, int max_executions = 1000);
 
   // --- copy-on-write snapshots (sim/snapshot.h) ---
 
@@ -191,16 +189,17 @@ class VmatCoordinator {
   /// to the run_min() that would have run the same prefix: same nonce
   /// stream, same stats, and — with a recorder attached — the same event
   /// stream, because the captured prefix events are replayed into the sink
-  /// before the live phases run. Throws std::invalid_argument for an epoch
-  /// snapshot, an empty one, or one from an incompatible deployment.
+  /// before the live phases run. Throws std::invalid_argument — before
+  /// restoring anything — for readings that do not cover every node, an
+  /// epoch snapshot, an empty one, or one from an incompatible deployment.
   [[nodiscard]] ExecutionOutcome resume_min(
       const Snapshot& snapshot, const std::vector<Reading>& readings);
 
   /// Re-arm the last prepare_epoch() tree from its snapshot instead of
   /// re-forming it: O(state) restore, zero flooding rounds. Succeeds only
-  /// when snapshots are enabled, an epoch snapshot exists, and no
-  /// revocation/rekey happened since its capture (the formed tree would be
-  /// stale otherwise — prepare_epoch() is the only correct path then).
+  /// when an epoch snapshot exists and no revocation/rekey happened since
+  /// its capture (the formed tree would be stale otherwise —
+  /// prepare_epoch() is the only correct path then).
   /// Monotone counters survive the restore: the nonce stream, the
   /// broadcast chain cursor, and the trace ordinals keep advancing, so a
   /// re-armed epoch never reuses a nonce or a chain element. Returns true
@@ -238,6 +237,16 @@ class VmatCoordinator {
   void set_recorder(FlightRecorder* recorder);
 
  private:
+  /// The one attachment scope (trace slice, network tracer, prefix tee);
+  /// defined in coordinator.cpp.
+  class Attachment;
+
+  /// What the form step leaves besides the formed tree.
+  struct Formed {
+    int rounds{0};      ///< flooding rounds spent (announcement + tree)
+    Snapshot snapshot;  ///< the capture, when the scope's slice asks for one
+  };
+
   /// Sign at the base station and verify at every honest sensor; models one
   /// flooding round of choke-resistant authenticated broadcast.
   void authenticated_broadcast(const Bytes& payload, int& rounds,
@@ -245,19 +254,22 @@ class VmatCoordinator {
 
   /// run_min()'s and resume_min()'s one-instance value table: each node's
   /// reading, a Byzantine node's replaced by its strategy's own_reading().
-  /// Throws std::logic_error unless instances == 1.
+  /// Throws std::logic_error unless instances == 1, and
+  /// std::invalid_argument unless the readings cover every node.
   [[nodiscard]] ValueTable min_values(const std::vector<Reading>& readings);
 
-  /// Announcement broadcast + tree formation for `session` (fills tree_).
-  void form_tree(std::uint64_t session, int& rounds, Tracer tracer);
+  /// The one form step, under `scope`: orphan any prepared epoch, draw the
+  /// session nonce, announce and form the tree (fills tree_), then capture
+  /// what the scope's slice asks for — a kExecutionPrefix snapshot, or the
+  /// epoch record plus its kEpoch snapshot.
+  [[nodiscard]] Formed form(Attachment& scope);
 
   /// Query announcement → aggregation → minima announcement →
   /// confirmation → classification over the already-formed tree_;
   /// `rounds_so_far` seeds ExecutionOutcome::data_rounds.
   [[nodiscard]] ExecutionOutcome run_query_phases(
       const ValueTable& values, const ValueTable& weights,
-      const ContentValidator& validate, std::uint32_t instances,
-      Tracer tracer, int rounds_so_far);
+      const ContentValidator& validate, Tracer tracer, int rounds_so_far);
 
   /// Hash pinning the immutable deployment identity a snapshot belongs to.
   [[nodiscard]] std::uint64_t deployment_fingerprint() const;
@@ -297,8 +309,8 @@ class VmatCoordinator {
   /// Shared by every component tracing one execution; the Tracer handles
   /// threaded through the phases all point here.
   TraceState trace_state_;
-  /// The kEpoch snapshot prepare_epoch() captures (when snapshots are
-  /// enabled), plus the epoch-validity guard recorded at capture time.
+  /// The kEpoch snapshot prepare_epoch() captures, plus the epoch-validity
+  /// guard recorded at capture time.
   /// Snapshot storage itself: capturing a snapshot inside a snapshot
   /// would recurse, so the pair deliberately skips both members.
   // vmat-analyze: allow(snapshot-field-coverage) -- snapshot storage

@@ -64,6 +64,8 @@ struct VetoMsg {
   Reading value{0};
   Level level{kNoLevel};
   Mac mac;
+  /// Explicit zero padding: snapshots copy SOF records byte for byte.
+  std::uint8_t padding[4]{};
 
   friend bool operator==(const VetoMsg&, const VetoMsg&) = default;
 };

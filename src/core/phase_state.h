@@ -137,9 +137,8 @@ struct TreeResult {
 
 /// Dense node-major value storage for per-node, per-instance readings and
 /// weights: one flat row of `instances` entries per node (8 B each) instead
-/// of a vector-of-vectors (24 B header + a heap block per node). The phase
-/// drivers consume this form; the coordinator's nested public API converts
-/// at the boundary (run_min builds it directly).
+/// of a vector-of-vectors (24 B header + a heap block per node). The one
+/// input type of every coordinator entry point and of the phase drivers.
 struct ValueTable {
   std::uint32_t node_count{0};
   std::uint32_t instances{0};
@@ -150,22 +149,6 @@ struct ValueTable {
       : node_count(n),
         instances(inst),
         data(static_cast<std::size_t>(n) * inst, fill) {}
-
-  /// Convert a nested table, padding short rows with `pad` and ignoring
-  /// entries beyond `inst` (exactly what the drivers' instance-bounded
-  /// loops did with ragged nested rows: a padded kInfinity value
-  /// contributes nothing and never undercuts a broadcast minimum; a padded
-  /// 0 weight matches the default).
-  static ValueTable from_nested(const std::vector<std::vector<std::int64_t>>& rows,
-                                std::uint32_t inst, std::int64_t pad) {
-    ValueTable t(static_cast<std::uint32_t>(rows.size()), inst, pad);
-    for (std::size_t id = 0; id < rows.size(); ++id) {
-      const auto& row = rows[id];
-      for (std::uint32_t i = 0; i < inst && i < row.size(); ++i)
-        t.data[id * inst + i] = row[i];
-    }
-    return t;
-  }
 
   [[nodiscard]] std::span<const std::int64_t> row(std::uint32_t id) const {
     return std::span<const std::int64_t>(

@@ -18,10 +18,24 @@ struct Block {
   bool synopsis{true};     ///< synopsis block vs exact-MIN block
   std::uint32_t offset{0};
   std::uint32_t instances{0};
-  std::uint64_t nonce{0};               ///< synopsis query nonce
-  std::vector<std::int64_t> weights;    ///< per-node weight (synopsis)
-  std::vector<Reading> readings;        ///< per-node reading (exact MIN)
+  std::uint64_t nonce{0};  ///< synopsis query nonce
+  std::int64_t probe{0};   ///< kQuantile: count the readings <= probe
 };
+
+/// The synopsis weight node `id` contributes to block `b` of `q`.
+std::int64_t synopsis_weight(const EngineQuery& q, const Block& b,
+                             std::size_t id) {
+  switch (q.kind) {
+    case EngineQueryKind::kCount: return q.predicate[id] ? 1 : 0;
+    case EngineQueryKind::kSum: return q.readings[id];
+    case EngineQueryKind::kAverage:
+      return b.count_part ? (q.readings[id] > 0 ? 1 : 0) : q.readings[id];
+    case EngineQueryKind::kQuantile: return q.readings[id] <= b.probe ? 1 : 0;
+    case EngineQueryKind::kMin:
+    case EngineQueryKind::kMax: break;
+  }
+  return 0;
+}
 
 void add_metrics(ExecutionMetrics& into, const ExecutionMetrics& from) {
   for (std::size_t p = 0; p < kTracePhaseCount; ++p)
@@ -175,7 +189,7 @@ void Engine::run_round() {
   stats_.rounds += 1;
   prepare();
 
-  const std::size_t n = coordinator_->network().node_count();
+  const std::uint32_t nodes = coordinator_->network().node_count();
   const std::uint32_t default_instances = coordinator_->config().instances;
 
   // --- pack: queries in submission order, up to the admission window and
@@ -186,67 +200,34 @@ void Engine::run_round() {
   std::uint32_t total = 0;
   for (std::size_t qi = 0;
        qi < pending_.size() && picked.size() < stats_.window; ++qi) {
-    Pending& p = pending_[qi];
+    const Pending& p = pending_[qi];
     if (p.done) continue;
     const std::uint32_t m =
         p.query.instances > 0 ? p.query.instances : default_instances;
 
     std::vector<Block> mine;
-    mine.reserve(2);  // kAverage emits two blocks; pointers must stay valid
-    auto synopsis_block = [&mine, qi, n](std::uint32_t instances,
-                                         bool count_part) {
-      Block b;
-      b.pending_index = qi;
-      b.count_part = count_part;
-      b.instances = instances;
-      b.weights.assign(n, 0);
-      mine.push_back(std::move(b));
-      return &mine.back();
-    };
+    Block block;
+    block.pending_index = qi;
+    block.instances = m;
     switch (p.query.kind) {
-      case EngineQueryKind::kCount: {
-        Block* b = synopsis_block(m, false);
-        for (std::size_t id = 1; id < n; ++id)
-          b->weights[id] = p.query.predicate[id] ? 1 : 0;
+      case EngineQueryKind::kAverage:  // a SUM block, then a COUNT block
+        mine.push_back(block);
+        block.count_part = true;
         break;
-      }
-      case EngineQueryKind::kSum: {
-        Block* b = synopsis_block(m, false);
-        for (std::size_t id = 1; id < n; ++id)
-          b->weights[id] = p.query.readings[id];
-        break;
-      }
-      case EngineQueryKind::kAverage: {
-        Block* s = synopsis_block(m, false);
-        for (std::size_t id = 1; id < n; ++id)
-          s->weights[id] = p.query.readings[id];
-        Block* c = synopsis_block(m, true);
-        for (std::size_t id = 1; id < n; ++id)
-          c->weights[id] = p.query.readings[id] > 0 ? 1 : 0;
-        break;
-      }
-      case EngineQueryKind::kQuantile: {
-        const std::int64_t probe =
+      case EngineQueryKind::kQuantile:
+        block.probe =
             p.phase == 0 ? p.query.domain_max : p.lo + (p.hi - p.lo) / 2;
-        Block* b = synopsis_block(m, false);
-        for (std::size_t id = 1; id < n; ++id)
-          b->weights[id] = p.query.readings[id] <= probe ? 1 : 0;
         break;
-      }
       case EngineQueryKind::kMin:
-      case EngineQueryKind::kMax: {
-        Block b;
-        b.pending_index = qi;
-        b.synopsis = false;
-        b.instances = 1;
-        b.readings.assign(n, kInfinity);
-        const bool negate = p.query.kind == EngineQueryKind::kMax;
-        for (std::size_t id = 1; id < n; ++id)
-          b.readings[id] = negate ? -p.query.raw[id] : p.query.raw[id];
-        mine.push_back(std::move(b));
+      case EngineQueryKind::kMax:
+        block.synopsis = false;
+        block.instances = 1;
         break;
-      }
+      case EngineQueryKind::kCount:
+      case EngineQueryKind::kSum:
+        break;
     }
+    mine.push_back(block);
 
     std::uint32_t width = 0;
     for (const Block& b : mine) width += b.instances;
@@ -262,36 +243,34 @@ void Engine::run_round() {
   }
   if (picked.empty()) return;
 
-  // --- grids: per-block synopsis rows in parallel. Blocks own disjoint
-  // columns, so the writes never overlap; each PRG stream depends only on
-  // the block's serially assigned nonce — bit-identical for any pool ---
+  // --- grids: per-block rows in parallel, straight into the execution's
+  // tables. Blocks own disjoint columns, so the writes never overlap; each
+  // PRG stream depends only on the block's serially assigned nonce —
+  // bit-identical for any pool ---
   std::vector<std::optional<SynopsisCodec>> codecs(blocks.size());
   for (std::size_t bi = 0; bi < blocks.size(); ++bi)
     if (blocks[bi].synopsis) codecs[bi].emplace(blocks[bi].nonce);
 
-  std::vector<std::vector<Reading>> values(n);
-  std::vector<std::vector<std::int64_t>> weights(n);
-  for (std::size_t id = 0; id < n; ++id) {
-    values[id].assign(total, kInfinity);
-    weights[id].assign(total, 0);
-  }
+  ValueTable values(nodes, total, kInfinity);
+  ValueTable weights(nodes, total, 0);
   pool_->for_each(
       blocks.size(),
-      [&blocks, &codecs, &values, &weights, n](std::size_t bi) {
+      [this, &blocks, &codecs, &values, &weights, nodes](std::size_t bi) {
         const Block& b = blocks[bi];
+        const EngineQuery& q = pending_[b.pending_index].query;
         if (!b.synopsis) {
-          for (std::size_t id = 1; id < n; ++id)
-            values[id][b.offset] = b.readings[id];
+          const bool negate = q.kind == EngineQueryKind::kMax;
+          for (std::uint32_t id = 1; id < nodes; ++id)
+            values.row(id)[b.offset] = negate ? -q.raw[id] : q.raw[id];
           return;
         }
         const SynopsisCodec& codec = *codecs[bi];
-        for (std::size_t id = 1; id < n; ++id) {
-          const std::int64_t w = b.weights[id];
+        for (std::uint32_t id = 1; id < nodes; ++id) {
+          const std::int64_t w = synopsis_weight(q, b, id);
           if (w <= 0) continue;
-          codec.fill_values(
-              NodeId{static_cast<std::uint32_t>(id)}, w,
-              std::span<Reading>(values[id]).subspan(b.offset, b.instances));
-          std::fill_n(weights[id].begin() + b.offset, b.instances, w);
+          codec.fill_values(NodeId{id}, w,
+                            values.row(id).subspan(b.offset, b.instances));
+          std::ranges::fill(weights.row(id).subspan(b.offset, b.instances), w);
         }
       });
 
@@ -311,7 +290,7 @@ void Engine::run_round() {
   };
 
   const ExecutionOutcome exec =
-      coordinator_->run_query(values, weights, validate, total);
+      coordinator_->run_query(values, weights, validate);
 
   stats_.executions += 1;
   stats_.fabric_bytes += exec.fabric_bytes;

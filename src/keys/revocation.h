@@ -32,6 +32,8 @@ enum class RevocationCause : std::uint8_t {
 struct RevocationEvent {
   KeyIndex key;
   RevocationCause cause;
+  /// Explicit zero padding: snapshots copy the event log byte for byte.
+  std::uint8_t padding[3]{};
 };
 
 class RevocationRegistry {

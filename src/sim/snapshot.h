@@ -41,14 +41,10 @@
 
 namespace vmat {
 
-/// True unless the VMAT_SNAPSHOT environment variable is exactly "0" — the
-/// escape hatch that disables cross-trial snapshot sharing in the bench
-/// fork fan-out and epoch re-arming in the serving engine (every execution
-/// then pays for its own formation, the pre-snapshot behavior).
-[[nodiscard]] bool snapshots_enabled();
-
 /// Append-only encoder for snapshot sections. All writes are raw memcpys
-/// of trivially copyable values; layout is the write order.
+/// of trivially copyable values without padding (explicit zeroed padding
+/// members instead), so equal states encode to equal bytes; layout is the
+/// write order.
 class SnapshotWriter {
  public:
   void section(std::uint32_t tag) { pod(tag); }
@@ -57,6 +53,8 @@ class SnapshotWriter {
   void pod(const T& value) {
     static_assert(std::is_trivially_copyable_v<T>,
                   "snapshot fields must be flat (memcpy-able)");
+    static_assert(std::has_unique_object_representations_v<T>,
+                  "snapshot fields must have no padding bytes");
     const std::size_t at = out_.size();
     out_.resize(at + sizeof value);
     std::memcpy(out_.data() + at, &value, sizeof value);
@@ -66,6 +64,8 @@ class SnapshotWriter {
   void vec_pod(const std::vector<T>& items) {
     static_assert(std::is_trivially_copyable_v<T>,
                   "snapshot vectors must hold flat elements");
+    static_assert(std::has_unique_object_representations_v<T>,
+                  "snapshot vector elements must have no padding bytes");
     pod(static_cast<std::uint64_t>(items.size()));
     const std::size_t total = items.size() * sizeof(T);
     const std::size_t at = out_.size();

@@ -67,9 +67,12 @@ enum class TraceEventKind : std::uint8_t {
 
 /// One flight-recorder event. Field meaning is per-kind (see
 /// TraceEventKind); unused fields hold their zero/sentinel defaults.
+/// The explicit zeroed padding members keep snapshot copies of the struct
+/// (the captured prefix) free of indeterminate bytes.
 struct TraceEvent {
   TraceEventKind kind{TraceEventKind::kExecutionBegin};
   TracePhase phase{TracePhase::kNone};
+  std::uint8_t padding0[2]{};
   Interval slot{0};
   NodeId a{};
   NodeId b{};
@@ -77,6 +80,7 @@ struct TraceEvent {
   std::uint32_t bytes{0};
   std::int64_t value{0};
   bool ok{true};
+  std::uint8_t padding1[7]{};
 
   friend bool operator==(const TraceEvent&, const TraceEvent&) = default;
 };

@@ -2,7 +2,9 @@
 #pragma once
 
 #include <memory>
+#include <stdexcept>
 #include <unordered_set>
+#include <vector>
 
 #include "attack/adversary.h"
 #include "attack/strategies.h"
@@ -10,6 +12,7 @@
 #include "core/coordinator.h"
 #include "engine/engine.h"
 #include "sim/network.h"
+#include "util/parallel.h"
 
 namespace vmat::testing {
 
@@ -33,6 +36,42 @@ inline std::vector<Reading> default_readings(std::uint32_t n) {
   for (std::uint32_t i = 0; i < n; ++i)
     readings[i] = 100 + static_cast<Reading>(i);
   return readings;
+}
+
+/// Override intra-execution threads for one scope, restoring the default.
+class ScopedThreads {
+ public:
+  explicit ScopedThreads(std::size_t threads) {
+    set_intra_execution_threads(threads);
+  }
+  ~ScopedThreads() { set_intra_execution_threads(0); }
+};
+
+/// The one-instance value table of `readings`, as given (no Byzantine
+/// own_reading substitution, unlike run_min).
+inline ValueTable one_instance(const std::vector<Reading>& readings) {
+  ValueTable values(static_cast<std::uint32_t>(readings.size()), 1, 0);
+  values.data = readings;
+  return values;
+}
+
+/// Re-run one MIN query until it produces a result, revoking adversary
+/// material along the way — the Theorem 7 loop. Every attempt is a full
+/// execute() over one_instance(readings). Throws after `max_executions`
+/// attempts.
+inline std::vector<ExecutionOutcome> until_result(
+    VmatCoordinator& coordinator, const std::vector<Reading>& readings,
+    int max_executions = 1000) {
+  const ValueTable values = one_instance(readings);
+  const ValueTable weights(values.node_count, 1, 0);
+  std::vector<ExecutionOutcome> history;
+  for (int i = 0; i < max_executions; ++i) {
+    history.push_back(coordinator.execute(values, weights));
+    if (history.back().produced_result()) return history;
+  }
+  throw std::runtime_error(
+      "until_result: no result after max_executions — an execution failed "
+      "to revoke adversary material (Theorem 7 violation)");
 }
 
 /// A COUNT over `predicate` that may take up to `max_executions`

@@ -182,12 +182,10 @@ TEST(Aggregation, MultipathSurvivesSingleSilentParent) {
   config.nonce = 0x77;
   config.multipath = true;
 
-  ValueTable values(net.node_count(), 1, 0);
   const ValueTable weights(net.node_count(), 1, 0);
   auto readings = default_readings(net.node_count());
   readings[24] = 1;  // far corner
-  for (std::uint32_t id = 0; id < net.node_count(); ++id)
-    values.data[id] = readings[id];
+  const ValueTable values = testing::one_instance(readings);
   AuditLog audits(net.node_count());
   const auto out = run_aggregation(net, &adv, tree, config, values, weights,
                                    audits);

@@ -33,15 +33,6 @@ using campaign::Corpus;
 using campaign::named_genome;
 using campaign::NamedAttack;
 
-/// Override intra-execution threads for one scope, restoring the default.
-class ScopedThreads {
- public:
-  explicit ScopedThreads(std::size_t threads) {
-    set_intra_execution_threads(threads);
-  }
-  ~ScopedThreads() { set_intra_execution_threads(0); }
-};
-
 /// A small grid of trigger states spanning every field a leaf can test.
 std::vector<TriggerState> state_grid() {
   std::vector<TriggerState> states;
@@ -378,9 +369,7 @@ TEST(Campaign, ForkProbesMatchScratchProbes) {
   EXPECT_EQ(a.corpus, b.corpus);
   EXPECT_EQ(a.coverage_buckets, b.coverage_buckets);
   EXPECT_GE(b.formations, static_cast<std::uint64_t>(b.probes.size()));
-  if (snapshots_enabled()) {
-    EXPECT_EQ(a.formations, 1u);
-  }
+  EXPECT_EQ(a.formations, 1u);
 }
 
 TEST(Campaign, CorpusReplaysIdenticallyAcrossThreadCounts) {
@@ -391,7 +380,7 @@ TEST(Campaign, CorpusReplaysIdenticallyAcrossThreadCounts) {
   const auto result = runner.run();
   ASSERT_FALSE(result.corpus.entries.empty());
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    ScopedThreads scope(threads);
+    const testing::ScopedThreads scope(threads);
     for (const auto& entry : result.corpus.entries) {
       const auto outcome = runner.replay(entry);
       EXPECT_EQ(outcome.entry.digest, entry.digest)

@@ -62,19 +62,6 @@ TEST(Garbage, NoiseDoesNotBreakSynopsisQueries) {
 /// deny every predicate test.
 struct SilentEverywhere final : AdversaryStrategy {};
 
-/// Run the same MIN query until it produces a result (Theorem 7: each
-/// execution that does not revokes adversary material).
-std::vector<ExecutionOutcome> until_result(
-    VmatCoordinator& coordinator, const std::vector<Reading>& readings) {
-  std::vector<std::vector<Reading>> values(readings.size());
-  std::vector<std::vector<std::int64_t>> weights(readings.size());
-  for (std::size_t id = 0; id < readings.size(); ++id) {
-    values[id] = {readings[id]};
-    weights[id] = {0};
-  }
-  return coordinator.run_until_result(values, weights, {}, 400);
-}
-
 TEST(Composite, DropPlusChokePlusAdmitLies) {
   const auto topo = Topology::grid(5, 5);
   const auto malicious = choose_malicious(topo, 3, 7);
@@ -92,7 +79,7 @@ TEST(Composite, DropPlusChokePlusAdmitLies) {
   VmatCoordinator coordinator(&net, &adv, cfg);
 
   const auto readings = default_readings(net.node_count());
-  const auto history = until_result(coordinator, readings);
+  const auto history = testing::until_result(coordinator, readings, 400);
   EXPECT_TRUE(history.back().produced_result());
   EXPECT_LE(history.back().minima[0], true_min(net, readings, malicious));
   EXPECT_TRUE(revocations_sound(net, malicious));
@@ -130,8 +117,8 @@ TEST(Composite, CompositeSweepAcrossSeeds) {
     cfg.depth_bound = topo.depth(malicious);
     cfg.seed = seed;
     VmatCoordinator coordinator(&net, &adv, cfg);
-    const auto history =
-        until_result(coordinator, default_readings(net.node_count()));
+    const auto history = testing::until_result(
+        coordinator, default_readings(net.node_count()), 400);
     EXPECT_TRUE(history.back().produced_result()) << "seed " << seed;
     EXPECT_TRUE(revocations_sound(net, malicious)) << "seed " << seed;
   }

@@ -25,9 +25,7 @@ struct ConfFixture {
 
   ConfirmationOutcome run(Adversary* adv, const std::vector<Reading>& readings,
                           Reading broadcast_min, bool slotted = true) {
-    ValueTable values(net.node_count(), 1, 0);
-    for (std::uint32_t id = 0; id < net.node_count(); ++id)
-      values.data[id] = readings[id];
+    const ValueTable values = testing::one_instance(readings);
     return run_confirmation(net, adv, tree, {broadcast_min}, 0x99, values,
                             audits, slotted);
   }
@@ -123,9 +121,7 @@ TEST(Confirmation, Lemma1HoldsUnderSilentMaliciousCut) {
       }
     readings[vetoer.value] = 1;
 
-    ValueTable values(net.node_count(), 1, 0);
-    for (std::uint32_t id = 0; id < net.node_count(); ++id)
-      values.data[id] = readings[id];
+    const ValueTable values = testing::one_instance(readings);
     AuditLog audits(net.node_count());
     const auto out = run_confirmation(net, &adv, tree, {50}, seed, values,
                                       audits);
@@ -154,9 +150,7 @@ TEST(Confirmation, SpuriousVetoChokesButSomethingStillArrives) {
       break;
     }
   readings[vetoer.value] = 1;
-  ValueTable values(net.node_count(), 1, 0);
-  for (std::uint32_t id = 0; id < net.node_count(); ++id)
-    values.data[id] = readings[id];
+  const ValueTable values = testing::one_instance(readings);
   AuditLog audits(net.node_count());
   const auto out =
       run_confirmation(net, &adv, tree, {50}, 11, values, audits);

@@ -83,12 +83,6 @@ TEST(Coordinator, NeverReturnsIncorrectResult) {
 TEST(Coordinator, RecoversFromEveryAttackFamily) {
   const auto topo = Topology::grid(5, 5);
   const auto readings = default_readings(25);
-  std::vector<std::vector<Reading>> values(25);
-  std::vector<std::vector<std::int64_t>> weights(25);
-  for (std::uint32_t id = 0; id < 25; ++id) {
-    values[id] = {readings[id]};
-    weights[id] = {0};
-  }
 
   const std::pair<NamedAttack, LiePolicy> attacks[] = {
       {NamedAttack::kSilent, LiePolicy::kDenyAll},
@@ -106,8 +100,7 @@ TEST(Coordinator, RecoversFromEveryAttackFamily) {
     CoordinatorSpec cfg;
     cfg.depth_bound = topo.depth(malicious);
     VmatCoordinator coordinator(&net, &adv, cfg);
-    const auto history =
-        coordinator.run_until_result(values, weights, {}, /*max=*/600);
+    const auto history = testing::until_result(coordinator, readings, 600);
     EXPECT_TRUE(history.back().produced_result()) << name;
     EXPECT_TRUE(revocations_sound(net, malicious)) << name;
     // Honest material intact: the final minimum is the honest one.
@@ -182,21 +175,59 @@ TEST(Coordinator, EmptyNetworkMinIsInfinity) {
   CoordinatorSpec cfg;
   cfg.instances = 1;
   VmatCoordinator coordinator(&net, nullptr, cfg);
-  std::vector<std::vector<Reading>> values(4, {kInfinity});
-  std::vector<std::vector<std::int64_t>> weights(4, {0});
+  const ValueTable values(4, 1, kInfinity);
+  const ValueTable weights(4, 1, 0);
   const auto out = coordinator.execute(values, weights);
   ASSERT_EQ(out.kind, OutcomeKind::kResult);
   EXPECT_EQ(out.minima[0], kInfinity);
 }
 
 TEST(Coordinator, ValidatesInputSizes) {
-  Network net(Topology::line(4), dense_keys());
+  // Every entry point checks node count and width first: a malformed input
+  // throws before anything is formed, restored, broadcast or recorded.
+  constexpr std::uint32_t n = 16;
+  const auto topo = Topology::grid(4, 4);
+  Network net(topo, dense_keys());
   VmatCoordinator coordinator(&net, nullptr, CoordinatorSpec{});
-  std::vector<std::vector<Reading>> bad(3, {1});
-  std::vector<std::vector<std::int64_t>> weights(4, {0});
-  EXPECT_THROW((void)coordinator.execute(bad, weights),
+  FlightRecorder recorder;
+  coordinator.set_recorder(&recorder);
+  const ValueTable weights(n, 1, 0);
+  ValueTable short_data(n, 1, 1);
+  short_data.data.pop_back();
+
+  EXPECT_THROW((void)coordinator.execute(ValueTable(3, 1, 1), weights),
                std::invalid_argument);
+  EXPECT_THROW((void)coordinator.execute(ValueTable(n, 2, 1),
+                                         ValueTable(n, 2, 0)),
+               std::invalid_argument);  // 2 wide; the coordinator runs 1
+  EXPECT_THROW((void)coordinator.execute(short_data, weights),
+               std::invalid_argument);
+  EXPECT_EQ(coordinator.formations_run(), 0u);
+  EXPECT_TRUE(recorder.events().empty());
+
+  (void)coordinator.prepare_epoch();
+  ASSERT_TRUE(coordinator.epoch_ready());
+  const std::size_t events = recorder.events().size();
   EXPECT_THROW((void)coordinator.run_min({1, 2}), std::invalid_argument);
+  EXPECT_THROW((void)coordinator.run_query(ValueTable(n, 2, 1), weights),
+               std::invalid_argument);
+  EXPECT_THROW((void)coordinator.run_query(ValueTable(3, 1, 1),
+                                           ValueTable(3, 1, 0)),
+               std::invalid_argument);
+  EXPECT_THROW((void)coordinator.run_query(ValueTable(n, 0, 1),
+                                           ValueTable(n, 0, 0)),
+               std::invalid_argument);
+
+  // A twin's capture is compatible, so only the readings are wrong.
+  Network twin_net(topo, dense_keys());
+  VmatCoordinator twin(&twin_net, nullptr, CoordinatorSpec{});
+  const Snapshot snapshot = twin.snapshot_after_formation();
+  EXPECT_THROW((void)coordinator.resume_min(snapshot, {1, 2}),
+               std::invalid_argument);
+
+  EXPECT_EQ(coordinator.formations_run(), 1u);
+  EXPECT_TRUE(coordinator.epoch_ready());
+  EXPECT_EQ(recorder.events().size(), events);
 }
 
 TEST(Coordinator, InstancesZeroRejected) {

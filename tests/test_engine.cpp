@@ -221,9 +221,8 @@ TEST(Engine, EpochInvalidatedByRevocationAndRekey) {
 
 TEST(Engine, RunQueryWithoutEpochThrows) {
   EngineFixture fx(1);
-  std::vector<std::vector<Reading>> values(kNodes, std::vector<Reading>{1});
-  std::vector<std::vector<std::int64_t>> weights(kNodes,
-                                                 std::vector<std::int64_t>{0});
+  const ValueTable values(kNodes, 1, 1);
+  const ValueTable weights(kNodes, 1, 0);
   EXPECT_THROW((void)fx.coordinator->run_query(values, weights),
                std::logic_error);
 }
@@ -534,10 +533,8 @@ TEST(Engine, PrepareWarmsEpochAheadAndRearmsAfterOneShot) {
 
   // A one-shot execution orphans the epoch's tree WITHOUT moving key
   // material — the only situation rearm_epoch() covers.
-  const std::vector<std::vector<Reading>> values(
-      kNodes, std::vector<Reading>(40, kInfinity));
-  const std::vector<std::vector<std::int64_t>> weights(
-      kNodes, std::vector<std::int64_t>(40, 0));
+  const ValueTable values(kNodes, 40, kInfinity);
+  const ValueTable weights(kNodes, 40, 0);
   (void)fx.coordinator->execute(values, weights);
   EXPECT_FALSE(fx.coordinator->epoch_ready());
   fx.engine->prepare();

@@ -103,6 +103,17 @@ TEST(VmatLint, StdoutInSrcIsFlagged) {
   EXPECT_TRUE(r.mentions("bad_cout.cpp:10:")) << r.output;
 }
 
+TEST(VmatLint, EnvKnobInSrcIsFlagged) {
+  // std::getenv and bare getenv are flagged; the allow()-suppressed read
+  // and a function that merely ends in "getenv" are not. (RealTreeIsClean
+  // covers the src/util/parallel.cpp carve-out.)
+  const auto r = run_lint("tools/fixtures/src/bad_getenv.cpp");
+  EXPECT_EQ(r.exit_code, 1);
+  EXPECT_EQ(r.count("env-knob"), 2) << r.output;
+  EXPECT_TRUE(r.mentions("bad_getenv.cpp:8:")) << r.output;
+  EXPECT_TRUE(r.mentions("bad_getenv.cpp:9:")) << r.output;
+}
+
 TEST(VmatLint, TraceSinkStdoutIsSanctioned) {
   // src/trace/ writes the trace-file pointer line directly; the stdout rule
   // carves it out just like core/report and util/stats.
@@ -183,6 +194,7 @@ TEST(VmatLint, WholeFixtureTreeTotals) {
   EXPECT_EQ(r.exit_code, 1);
   EXPECT_EQ(r.count("determinism-rng"), 3) << r.output;
   EXPECT_EQ(r.count("eager-ring-materialization"), 2) << r.output;
+  EXPECT_EQ(r.count("env-knob"), 2) << r.output;
   EXPECT_EQ(r.count("mac-verify-discarded"), 2) << r.output;
   EXPECT_EQ(r.count("key-memcpy"), 1) << r.output;
   EXPECT_EQ(r.count("threadpool-ref-capture"), 2) << r.output;
@@ -191,7 +203,7 @@ TEST(VmatLint, WholeFixtureTreeTotals) {
   EXPECT_EQ(r.count("predicate-purity"), 3) << r.output;
   EXPECT_EQ(r.count("hot-path-alloc"), 2) << r.output;
   EXPECT_EQ(r.count("snapshot-unsafe-state"), 2) << r.output;
-  EXPECT_TRUE(r.mentions("21 violation(s)")) << r.output;
+  EXPECT_TRUE(r.mentions("23 violation(s)")) << r.output;
 }
 
 TEST(VmatLint, RuleFilterRunsOnlyThatRule) {
@@ -215,7 +227,8 @@ TEST(VmatLint, ListRulesIsSortedAndExitsZero) {
   EXPECT_EQ(r.exit_code, 0) << r.output;
   const char* rules[] = {
       "determinism-rng",       "eager-ring-materialization",
-      "hot-path-alloc",        "key-memcpy",
+      "env-knob",              "hot-path-alloc",
+      "key-memcpy",
       "mac-verify-discarded",  "missing-nodiscard",
       "predicate-purity",      "snapshot-unsafe-state",
       "stdout-in-src",         "threadpool-ref-capture"};

@@ -91,13 +91,7 @@ TEST(Loss, AdversaryUnderLossStillSoundlyRevoked) {
   cfg.depth_bound = topo.depth(malicious);
   VmatCoordinator coordinator(&net, &adv, cfg);
   const auto readings = default_readings(25);
-  std::vector<std::vector<Reading>> values(25);
-  std::vector<std::vector<std::int64_t>> weights(25);
-  for (std::uint32_t id = 0; id < 25; ++id) {
-    values[id] = {readings[id]};
-    weights[id] = {0};
-  }
-  const auto history = coordinator.run_until_result(values, weights, {}, 400);
+  const auto history = testing::until_result(coordinator, readings, 400);
   EXPECT_TRUE(history.back().produced_result());
   EXPECT_TRUE(revocations_sound(net, malicious));
 }

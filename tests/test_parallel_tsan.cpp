@@ -162,13 +162,7 @@ TEST(ParallelTsan, LevelParallelAdversarialRunStaysSoundAndIdentical) {
     FlightRecorder recorder;
     coordinator.set_recorder(&recorder);
     const auto readings = testing::default_readings(net.node_count());
-    std::vector<std::vector<Reading>> values(net.node_count());
-    std::vector<std::vector<std::int64_t>> weights(net.node_count());
-    for (std::uint32_t id = 0; id < net.node_count(); ++id) {
-      values[id] = {readings[id]};
-      weights[id] = {0};
-    }
-    const auto history = coordinator.run_until_result(values, weights, {}, 400);
+    const auto history = testing::until_result(coordinator, readings, 400);
     set_intra_execution_threads(0);
     struct Result {
       Reading minimum;

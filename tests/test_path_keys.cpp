@@ -141,13 +141,7 @@ TEST(PathKeys, PinpointingWalksAcrossPathKeys) {
   VmatCoordinator coordinator(&net, &adv, cfg);
 
   const auto readings = default_readings(net.node_count());
-  std::vector<std::vector<Reading>> values(net.node_count());
-  std::vector<std::vector<std::int64_t>> weights(net.node_count());
-  for (std::uint32_t id = 0; id < net.node_count(); ++id) {
-    values[id] = {readings[id]};
-    weights[id] = {0};
-  }
-  const auto history = coordinator.run_until_result(values, weights, {}, 400);
+  const auto history = testing::until_result(coordinator, readings, 400);
   EXPECT_TRUE(history.back().produced_result());
   EXPECT_TRUE(revocations_sound(net, malicious));
   EXPECT_EQ(history.back().minima[0], true_min(net, readings, malicious));

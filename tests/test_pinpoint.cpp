@@ -151,13 +151,7 @@ TEST(Pinpoint, HonestSensorsNeverRevokedAcrossManyRuns) {
   Scenario s(forced_drop_topology(), {NodeId{2}},
              named_genome(NamedAttack::kSilent).strategy());
   const auto readings = forced_drop_readings();
-  std::vector<std::vector<Reading>> values(9);
-  std::vector<std::vector<std::int64_t>> weights(9);
-  for (std::uint32_t id = 0; id < 9; ++id) {
-    values[id] = {readings[id]};
-    weights[id] = {0};
-  }
-  const auto history = s.coordinator->run_until_result(values, weights);
+  const auto history = testing::until_result(*s.coordinator, readings);
   ASSERT_GE(history.size(), 2u);  // at least one revocation, then a result
   EXPECT_TRUE(history.back().produced_result());
   EXPECT_TRUE(revocations_sound(s.net, s.malicious_set));
@@ -172,13 +166,7 @@ TEST(Pinpoint, ResultAfterRecoveryIsCorrect) {
   Scenario s(forced_drop_topology(), {NodeId{2}},
              named_genome(NamedAttack::kSilent).strategy());
   const auto readings = forced_drop_readings();
-  std::vector<std::vector<Reading>> values(9);
-  std::vector<std::vector<std::int64_t>> weights(9);
-  for (std::uint32_t id = 0; id < 9; ++id) {
-    values[id] = {readings[id]};
-    weights[id] = {0};
-  }
-  const auto history = s.coordinator->run_until_result(values, weights);
+  const auto history = testing::until_result(*s.coordinator, readings);
   // The final result includes node 4's reading: it was never revoked and
   // the network routes around the neutralized dropper.
   EXPECT_EQ(history.back().minima[0],

@@ -193,10 +193,8 @@ struct EngineFixture {
     cfg.nonce = 0xaa;
     auto readings = default_readings(net.node_count());
     readings[5] = 1;
-    ValueTable values(net.node_count(), 1, 0);
+    const ValueTable values = testing::one_instance(readings);
     const ValueTable weights(net.node_count(), 1, 0);
-    for (std::uint32_t id = 0; id < net.node_count(); ++id)
-      values.data[id] = readings[id];
     (void)run_aggregation(net, nullptr, tree, cfg, values, weights, audits);
   }
 

@@ -107,12 +107,8 @@ TEST_P(Theorem7Sweep, EveryExecutionResultsOrSoundlyRevokes) {
   coordinator.set_recorder(&recorder);
 
   const auto readings = default_readings(net.node_count());
-  std::vector<std::vector<Reading>> values(net.node_count());
-  std::vector<std::vector<std::int64_t>> weights(net.node_count());
-  for (std::uint32_t id = 0; id < net.node_count(); ++id) {
-    values[id] = {readings[id]};
-    weights[id] = {0};
-  }
+  const ValueTable values = testing::one_instance(readings);
+  const ValueTable weights(values.node_count, 1, 0);
 
   int executions = 0;
   for (; executions < 400; ++executions) {
@@ -183,13 +179,7 @@ TEST_P(Theorem7Multipath, MultipathKeepsGuarantees) {
   FlightRecorder recorder;
   coordinator.set_recorder(&recorder);
   const auto readings = default_readings(net.node_count());
-  std::vector<std::vector<Reading>> values(net.node_count());
-  std::vector<std::vector<std::int64_t>> weights(net.node_count());
-  for (std::uint32_t id = 0; id < net.node_count(); ++id) {
-    values[id] = {readings[id]};
-    weights[id] = {0};
-  }
-  const auto history = coordinator.run_until_result(values, weights, {}, 400);
+  const auto history = testing::until_result(coordinator, readings, 400);
   EXPECT_TRUE(history.back().produced_result());
   EXPECT_LE(history.back().minima[0], true_min(net, readings, malicious));
   EXPECT_TRUE(revocations_sound(net, malicious));

@@ -63,13 +63,7 @@ TEST(Rekey, ProtocolRunsCleanAfterEpoch) {
   vcfg.depth_bound = topo.depth(malicious);
   VmatCoordinator coordinator(&net, &adv, vcfg);
   const auto readings = default_readings(25);
-  std::vector<std::vector<Reading>> values(25);
-  std::vector<std::vector<std::int64_t>> weights(25);
-  for (std::uint32_t id = 0; id < 25; ++id) {
-    values[id] = {readings[id]};
-    weights[id] = {0};
-  }
-  (void)coordinator.run_until_result(values, weights, {}, 400);
+  (void)testing::until_result(coordinator, readings, 400);
   // Administrative decision: fully revoke the attacker, then re-key.
   for (NodeId m : malicious) (void)net.revocation().revoke_sensor(m);
   (void)net.rekey(dense_keys(0, 500).keys);

@@ -73,8 +73,8 @@ TEST(Report, DeploymentSummary) {
 TEST(Report, InfinityMinimaRendered) {
   Network net(Topology::line(4), dense_keys());
   VmatCoordinator coordinator(&net, nullptr, CoordinatorSpec{});
-  std::vector<std::vector<Reading>> values(4, {kInfinity});
-  std::vector<std::vector<std::int64_t>> weights(4, {0});
+  const ValueTable values(4, 1, kInfinity);
+  const ValueTable weights(4, 1, 0);
   const auto out = coordinator.execute(values, weights);
   EXPECT_NE(summarize(out).find("inf"), std::string::npos);
 }

@@ -160,13 +160,7 @@ ThetaCampaignResult run_theta_campaign(std::uint32_t theta,
   VmatCoordinator coordinator(&net, &adv, cfg);
 
   const auto readings = default_readings(net.node_count());
-  std::vector<std::vector<Reading>> values(net.node_count());
-  std::vector<std::vector<std::int64_t>> weights(net.node_count());
-  for (std::uint32_t id = 0; id < net.node_count(); ++id) {
-    values[id] = {readings[id]};
-    weights[id] = {0};
-  }
-  const auto history = coordinator.run_until_result(values, weights, {}, 500);
+  const auto history = testing::until_result(coordinator, readings, 500);
 
   ThetaCampaignResult result;
   result.executions = history.size();

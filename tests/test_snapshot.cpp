@@ -6,10 +6,9 @@
 // sanitizer CI matrix (ctest -R 'Parallel|ThreadPool|TrialSeed').
 #include <gtest/gtest.h>
 
-#include <cstdlib>
+#include <algorithm>
 #include <cstring>
 #include <memory>
-#include <string>
 #include <thread>
 #include <unordered_set>
 #include <vector>
@@ -47,37 +46,6 @@ std::vector<Reading> trial_readings(std::uint32_t n, std::size_t trial) {
     readings[i] = 100 + static_cast<Reading>((i * 13 + trial * 101) % 500);
   return readings;
 }
-
-/// Pin VMAT_SNAPSHOT for one test and restore the previous value after.
-class SnapshotEnvGuard {
- public:
-  explicit SnapshotEnvGuard(const char* value) {
-    if (const char* prev = std::getenv("VMAT_SNAPSHOT")) {
-      had_ = true;
-      prev_ = prev;
-    }
-    setenv("VMAT_SNAPSHOT", value, 1);
-  }
-  ~SnapshotEnvGuard() {
-    if (had_)
-      setenv("VMAT_SNAPSHOT", prev_.c_str(), 1);
-    else
-      unsetenv("VMAT_SNAPSHOT");
-  }
-
- private:
-  bool had_{false};
-  std::string prev_;
-};
-
-/// Override intra-execution threads for one test, restoring the default.
-class ScopedThreads {
- public:
-  explicit ScopedThreads(std::size_t threads) {
-    set_intra_execution_threads(threads);
-  }
-  ~ScopedThreads() { set_intra_execution_threads(0); }
-};
 
 TEST(Snapshot, ForkMatchesScratchBitIdentical) {
   const auto topo = Topology::grid(6, 6);
@@ -193,7 +161,7 @@ TEST(Snapshot, ForkStreamIsThreadCountInvariant) {
   std::vector<std::vector<TraceEvent>> streams;
   std::vector<ExecutionOutcome> outcomes;
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    ScopedThreads scoped(threads);
+    const testing::ScopedThreads scoped(threads);
     recorder.clear();
     outcomes.push_back(coordinator.resume_min(snapshot, readings));
     streams.push_back(recorder.events());
@@ -381,29 +349,34 @@ TEST(Snapshot, StaleStampedEdgeKeyTableIsWarmedAgain) {
   EXPECT_EQ(slots, edge_slot_table(twin));
 }
 
-TEST(Snapshot, EnvEscapeHatchDisablesRearm) {
-  const SnapshotEnvGuard guard("0");
-  EXPECT_FALSE(snapshots_enabled());
-
-  Network net(Topology::grid(5, 5), dense_keys());
-  VmatCoordinator coordinator(&net, nullptr, CoordinatorSpec{});
-  (void)coordinator.prepare_epoch();
-
-  // Stale the epoch without a revocation; with VMAT_SNAPSHOT=0 no epoch
-  // snapshot was captured, so re-arming must refuse and leave the stale
-  // epoch to prepare_epoch().
-  const auto one_shot = coordinator.run_min(default_readings(25));
-  ASSERT_EQ(one_shot.kind, OutcomeKind::kResult);
-  EXPECT_FALSE(coordinator.epoch_ready());
-  EXPECT_FALSE(coordinator.rearm_epoch());
-
-  // Explicit forks still work — they just stop sharing (every capture is
-  // private), which is the bench escape-hatch mode.
-  Network fork_net(Topology::grid(5, 5), dense_keys());
-  VmatCoordinator forker(&fork_net, nullptr, CoordinatorSpec{});
-  const Snapshot snapshot = forker.snapshot_after_formation();
-  const auto out = forker.resume_min(snapshot, default_readings(25));
-  EXPECT_EQ(out.kind, OutcomeKind::kResult);
+TEST(Snapshot, TwinCapturesAreByteEqual) {
+  // Snapshot records carry no padding bytes, so equal states capture equal
+  // bytes: the prefix trace events (TRAC), the coordinator's epoch (COOR),
+  // and — after a pinpointing execution — SOF records (AUD2) and registry
+  // events (REVO).
+  const auto topo = Topology::grid(6, 6);
+  const auto malicious = choose_malicious(topo, 2, 17);
+  auto capture = [&topo, &malicious](bool pinpoint) {
+    Network net(topo, dense_keys());
+    Adversary adv(&net, malicious,
+                  named_genome(NamedAttack::kChoke).strategy());
+    CoordinatorSpec cfg;
+    cfg.depth_bound = topo.depth(malicious);
+    VmatCoordinator coordinator(&net, &adv, cfg);
+    (void)coordinator.prepare_epoch();
+    if (pinpoint) (void)coordinator.run_min(default_readings(36));
+    EXPECT_EQ(net.revocation().events().empty(), !pinpoint);
+    const Snapshot snapshot = coordinator.snapshot_after_formation();
+    return Bytes(snapshot.data().begin(), snapshot.data().end());
+  };
+  for (const bool pinpoint : {false, true}) {
+    const Bytes a = capture(pinpoint);
+    const Bytes b = capture(pinpoint);
+    ASSERT_EQ(a.size(), b.size());
+    // The offset of the first differing byte; a.size() when none differs.
+    EXPECT_EQ(std::ranges::mismatch(a, b).in1 - a.begin(), std::ssize(a))
+        << pinpoint;
+  }
 }
 
 TEST(Snapshot, RearmContinuesEpochOrdinalsAndResults) {
@@ -414,12 +387,8 @@ TEST(Snapshot, RearmContinuesEpochOrdinalsAndResults) {
   coordinator.set_recorder(&recorder);
 
   const auto readings = default_readings(n);
-  std::vector<std::vector<Reading>> values(n);
-  std::vector<std::vector<std::int64_t>> weights(n);
-  for (std::uint32_t id = 0; id < n; ++id) {
-    values[id] = {readings[id]};
-    weights[id] = {0};
-  }
+  const ValueTable values = testing::one_instance(readings);
+  const ValueTable weights(n, 1, 0);
 
   (void)coordinator.prepare_epoch();
   const auto served = coordinator.run_query(values, weights);

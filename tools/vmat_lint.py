@@ -52,6 +52,12 @@ checkable from source text, as named, individually suppressible rules:
                          resident index sets or thrashes the LRU. Use
                          ring_seed()/ring_contains() (or the derive-based
                          paths) in whole-network loops.
+  env-knob               No std::getenv in src/ outside
+                         src/util/parallel.cpp (VMAT_THREADS,
+                         VMAT_EXEC_THREADS). An environment variable that
+                         selects a library code path is a knob no spec,
+                         test or digest can see; take a parameter or a
+                         config field instead.
   snapshot-unsafe-state  Classes captured by the copy-on-write snapshot
                          subsystem (any class with a snapshot_save()
                          member) must hold flat, order-independent state:
@@ -449,6 +455,21 @@ def rule_stdout_in_src(src: SourceFile, report) -> None:
                       "serialise it")
 
 
+GETENV_RE = re.compile(r"(?<![\w.>])(?:std::|::)?(?:secure_)?getenv\s*\(")
+
+
+def rule_env_knob(src: SourceFile, report) -> None:
+    if not src.in_dir("src"):
+        return
+    if src.in_dir("util") and src.basename() == "parallel.cpp":
+        return  # the thread-count knobs, which never change a result
+    for i, line in enumerate(src.code_lines, start=1):
+        if GETENV_RE.search(line):
+            report(i, "environment variable read in src/; a library code "
+                      "path must not depend on the environment — take a "
+                      "parameter or a config field instead")
+
+
 # A *definition* of an evaluate() member/function: a return type before the
 # name keeps calls (`when_.evaluate(...)`) from matching; `evaluate_node`
 # and friends are excluded by requiring '(' right after the name.
@@ -716,6 +737,7 @@ def rule_eager_ring_materialization(src: SourceFile, report) -> None:
 RULES = {
     "determinism-rng": rule_determinism_rng,
     "eager-ring-materialization": rule_eager_ring_materialization,
+    "env-knob": rule_env_knob,
     "mac-verify-discarded": rule_mac_verify_discarded,
     "missing-nodiscard": rule_missing_nodiscard,
     "key-memcpy": rule_key_memcpy,
