@@ -34,15 +34,19 @@ SignedBroadcast AuthBroadcaster::sign(Bytes payload, Tracer tracer) {
   return b;
 }
 
+BroadcastCheck::BroadcastCheck(const SignedBroadcast& b) noexcept
+    : broadcast(b),
+      mac_ok(verify_mac(broadcast_key(b.chain_element), b.payload, b.mac)) {}
+
 AuthReceiver::AuthReceiver(const Digest& anchor) : last_verified_(anchor) {}
 
-bool AuthReceiver::accept(const SignedBroadcast& b, Tracer tracer,
+bool AuthReceiver::accept(const BroadcastCheck& check, Tracer tracer,
                           NodeId self) {
-  const bool ok =
-      b.epoch > last_epoch_ &&
-      HashChain::verify(b.chain_element, b.epoch, last_verified_,
-                        last_epoch_) &&
-      verify_mac(broadcast_key(b.chain_element), b.payload, b.mac);
+  const SignedBroadcast& b = check.broadcast;
+  const bool ok = b.epoch > last_epoch_ &&
+                  HashChain::verify(b.chain_element, b.epoch, last_verified_,
+                                    last_epoch_) &&
+                  check.mac_ok;
   tracer.mac_verify(self, kNoKey, ok);
   if (!ok) return false;
   last_verified_ = b.chain_element;

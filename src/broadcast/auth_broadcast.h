@@ -5,7 +5,9 @@
 // every sensor is pre-loaded with. Broadcast number e releases chain element
 // e and MACs the payload with a key derived from that element; receivers
 // verify the element by hashing forward to their last verified element and
-// then check the MAC, so a forged or replayed broadcast is rejected.
+// then check the MAC, so a forged or replayed broadcast is rejected. The
+// MAC check depends on the broadcast alone, so it runs once per broadcast
+// (BroadcastCheck) however many receivers share it.
 //
 // Simulation note (DESIGN.md): real μTESLA discloses the epoch key one
 // interval *after* the MAC'd message to prevent in-epoch forgery; our
@@ -59,16 +61,34 @@ class AuthBroadcaster {
   std::uint64_t next_epoch_{1};  // epoch 0 is the anchor itself
 };
 
+/// A broadcast and its MAC verdict. The MAC key derives from the disclosed
+/// chain element alone, so every receiver of one broadcast reaches the same
+/// verdict: the check runs once per broadcast, at construction, and each
+/// receiver still checks the epoch and the chain element itself
+/// (AuthReceiver::accept). Holds a reference to the broadcast, which must
+/// outlive it.
+struct BroadcastCheck {
+  explicit BroadcastCheck(const SignedBroadcast& b) noexcept;
+
+  const SignedBroadcast& broadcast;
+  const bool mac_ok;
+};
+
 /// Sensor side: verifies successive broadcasts against the anchor.
 class AuthReceiver {
  public:
   explicit AuthReceiver(const Digest& anchor);
 
-  /// Accept iff the chain element verifies against the last verified
-  /// element, the epoch is strictly newer, and the MAC checks out.
-  /// `self` identifies the receiving sensor in the trace stream.
-  [[nodiscard]] bool accept(const SignedBroadcast& b, Tracer tracer = {},
+  /// Accept iff the epoch is strictly newer than the last accepted one,
+  /// the chain element verifies against the last verified element, and the
+  /// broadcast's MAC verdict holds. `self` identifies the receiving sensor
+  /// in the trace stream.
+  [[nodiscard]] bool accept(const BroadcastCheck& check, Tracer tracer = {},
                             NodeId self = {});
+  /// One receiver alone: checks the MAC, then accept(check).
+  [[nodiscard]] bool accept(const SignedBroadcast& b) {
+    return accept(BroadcastCheck(b));
+  }
 
   // --- snapshots (sim/snapshot.h): the verification cursor is the whole
   // mutable state ---

@@ -60,12 +60,11 @@ AggregationOutcome run_aggregation(Network& net, Adversary* adversary,
                                    Tracer tracer) {
   const std::uint32_t n = net.node_count();
   const Level L = tree.depth_bound;
-  if (values.node_count != n || weights.node_count != n ||
-      audits.node_count() != n)
-    throw std::invalid_argument("run_aggregation: size mismatch");
-  if (values.instances != config.instances ||
-      weights.instances != config.instances)
-    throw std::invalid_argument("run_aggregation: instance-count mismatch");
+  if (!values.has_shape(n, config.instances) ||
+      !weights.has_shape(n, config.instances) || audits.node_count() != n)
+    throw std::invalid_argument(
+        "run_aggregation: values/weights must be node_count x instances and "
+        "the audit log must cover every node");
 
   net.fabric().reset();
 

@@ -27,8 +27,12 @@ ConfirmationOutcome run_confirmation(
     const ValueTable& values, AuditLog& audits, bool slotted, Tracer tracer) {
   const std::uint32_t n = net.node_count();
   const Level L = tree.depth_bound;
-  if (values.node_count != n || audits.node_count() != n)
-    throw std::invalid_argument("run_confirmation: size mismatch");
+  if (!values.has_shape(
+          n, static_cast<std::uint32_t>(broadcast_minima.size())) ||
+      audits.node_count() != n)
+    throw std::invalid_argument(
+        "run_confirmation: values must be node_count x (one column per "
+        "broadcast minimum) and the audit log must cover every node");
 
   net.fabric().reset();
 

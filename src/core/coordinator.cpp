@@ -39,12 +39,10 @@ CoordinatorSpec validated_coordinator_spec(const SimulationSpec& spec) {
 /// are `width` wide.
 void check_tables(const ValueTable& values, const ValueTable& weights,
                   std::uint32_t nodes, std::uint32_t width) {
-  for (const ValueTable* t : {&values, &weights})
-    if (t->node_count != nodes || t->instances != width ||
-        t->data.size() != static_cast<std::size_t>(nodes) * width)
-      throw std::invalid_argument(
-          "VmatCoordinator: values/weights must cover all nodes at the "
-          "execution's instance count");
+  if (!values.has_shape(nodes, width) || !weights.has_shape(nodes, width))
+    throw std::invalid_argument(
+        "VmatCoordinator: values/weights must cover all nodes at the "
+        "execution's instance count");
 }
 
 /// The revocation/key-material counters `epoch` was formed under still
@@ -166,11 +164,14 @@ void VmatCoordinator::set_recorder(FlightRecorder* recorder) {
 void VmatCoordinator::authenticated_broadcast(const Bytes& payload,
                                               int& rounds, Tracer tracer) {
   const SignedBroadcast b = broadcaster_.sign(payload, tracer);
-  // Every non-revoked sensor runs its own AuthReceiver (hash-chain step,
-  // key derivation, MAC check). Receivers are independent per-node state,
-  // so the loop shards by id range like the phase drivers' RX passes and
-  // the mac_verify events merge in id order. A shard stops at its first
+  // The MAC key derives from the disclosed chain element alone, so the MAC
+  // verdict is computed once here; every non-revoked sensor still runs its
+  // own AuthReceiver (epoch and hash-chain step) against it and emits its
+  // own mac_verify. Receivers are independent per-node state, so the loop
+  // shards by id range like the phase drivers' RX passes and the
+  // mac_verify events merge in id order. A shard stops at its first
   // rejection, which the join turns into the serial loop's logic_error.
+  const BroadcastCheck check(b);
   struct ShardTally {
     std::uint64_t accepted{0};
     bool rejected{false};
@@ -181,14 +182,14 @@ void VmatCoordinator::authenticated_broadcast(const Bytes& payload,
   ShardedTrace trace(tracer, shards);
   for_each_shard(
       n, shards, ThreadPool::shared(),
-      [this, &b, &tally, &trace](std::size_t shard, std::size_t begin,
-                                 std::size_t end) {
+      [this, &check, &tally, &trace](std::size_t shard, std::size_t begin,
+                                     std::size_t end) {
         Tracer shard_tracer = trace.shard(shard);
         for (std::size_t id = std::max<std::size_t>(begin, 1); id < end;
              ++id) {
           const NodeId node{static_cast<std::uint32_t>(id)};
           if (net_->revocation().is_sensor_revoked(node)) continue;
-          if (!receivers_[id].accept(b, shard_tracer, node)) {
+          if (!receivers_[id].accept(check, shard_tracer, node)) {
             tally[shard].rejected = true;
             return;
           }

@@ -5,15 +5,17 @@
 // and keep the protocol's determinism contract by construction:
 //
 //   - TX: shards *buffer* their outgoing frames as TxSteps — edge MACs are
-//     computed in-shard through a per-shard MacBatch, but nothing touches
-//     the fabric. After the join, replay_tx() walks the buffers in shard
-//     order (= global node-id order, since shards cover contiguous id
-//     ranges) and performs the actual sends serially. Delivery order, the
-//     loss-RNG consumption order, transmit-budget accounting, and the
-//     traced event stream are therefore bit-identical to serial execution
-//     for any thread count — and the adversary still transmits first, since
-//     its strategy hook ran before the shards and its frames already sit in
-//     the fabric's staging queue.
+//     computed in-shard (through a per-shard MacBatch, or read from the
+//     network's flood memo when every frame carries one payload, as in
+//     tree formation), but nothing touches the fabric. After the join,
+//     replay_tx() walks the buffers in shard order (= global node-id
+//     order, since shards cover contiguous id ranges) and performs the
+//     actual sends serially. Delivery order, the loss-RNG consumption
+//     order, transmit-budget accounting, and the traced event stream are
+//     therefore bit-identical to serial execution for any thread count —
+//     and the adversary still transmits first, since its strategy hook ran
+//     before the shards and its frames already sit in the fabric's staging
+//     queue.
 //   - RX: take_inbox()/receive_valid() are safe for distinct nodes, every
 //     write the receipt loops perform is per-node state owned by exactly
 //     one shard, and trace events buffer in a ShardedTrace that merges in
@@ -56,8 +58,8 @@ struct TxStep {
   /// Bytes member would add 24 B of dead weight per buffered step — the
   /// payload bytes live in the owning ShardBuf's flat payload buffer via
   /// stage_payload(), so buffering a step never heap-allocates). edge_mac
-  /// is filled in by compute_step_macs(); replay_tx() builds a stack
-  /// Envelope per step.
+  /// is filled in by compute_step_macs() (or, for the tree flood, from
+  /// Network::edge_mac()); replay_tx() builds a stack Envelope per step.
   NodeId from;
   NodeId to;
   KeyIndex edge_key{kNoKey};

@@ -150,6 +150,15 @@ struct ValueTable {
         instances(inst),
         data(static_cast<std::size_t>(n) * inst, fill) {}
 
+  /// Whether the table is `nodes` × `width`, data included: the shape the
+  /// coordinator and the phase drivers check before any work, so a table
+  /// whose fields disagree is rejected instead of read past its end.
+  [[nodiscard]] bool has_shape(std::uint32_t nodes,
+                               std::uint32_t width) const noexcept {
+    return node_count == nodes && instances == width &&
+           data.size() == static_cast<std::size_t>(nodes) * width;
+  }
+
   [[nodiscard]] std::span<const std::int64_t> row(std::uint32_t id) const {
     return std::span<const std::int64_t>(
         data.data() + static_cast<std::size_t>(id) * instances, instances);

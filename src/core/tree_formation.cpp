@@ -37,8 +37,12 @@ TreeResult run_timestamp_mode(Network& net, Adversary* adversary,
   // Level-parallel sharding over active sets (see core/phase_shard.h): the
   // senders of slot t are exactly the sensors that adopted level t-1 in
   // slot t-1, which each shard's RX pass lists in its ShardBuf::next (the
-  // base station seeds slot 1); sends replay serially in id order.
+  // base station seeds slot 1); sends replay serially in id order. Every
+  // honest frame carries flood_frame, so its edge MAC depends on the edge
+  // key alone: the flood memo computes it once per distinct key, and both
+  // the TX steps and receive_valid() read it from there.
   net.warm_crypto_caches();
+  net.memo_flood_macs(flood_frame);
   const std::size_t shards = plan_shards(n);
   ThreadPool& pool = ThreadPool::shared();
   std::vector<ShardBuf> bufs(shards);
@@ -79,12 +83,12 @@ TreeResult run_timestamp_mode(Network& net, Adversary* adversary,
                 step.from = node;
                 step.to = v;
                 step.edge_key = *edge_key;
+                step.edge_mac = net.edge_mac(*edge_key, flood_frame);
                 buf.stage_payload(step, flood_frame);
                 buf.steps.push_back(std::move(step));
               }
             }
             buf.next.clear();
-            compute_step_macs(net.keys(), buf);
           });
       replay_tx(net, bufs, nullptr, tracer);
     }
@@ -126,6 +130,7 @@ TreeResult run_timestamp_mode(Network& net, Adversary* adversary,
         });
     rx_trace.merge();
   }
+  net.clear_flood_macs();
   result.parents = ParentTable::from_tagged(n, parent_stage);
   return result;
 }

@@ -60,6 +60,7 @@ std::size_t Network::rekey(const KeyMaterialSpec& fresh_keys) {
   fabric_.reset();
   edge_key_cache_.clear();
   std::fill(edge_key_slots_.begin(), edge_key_slots_.end(), EdgeKeySlot{});
+  clear_flood_macs();
   ++key_generation_;
   return dead.size();
 }
@@ -78,6 +79,7 @@ std::size_t Network::establish_path_keys() {
   if (established > 0) {
     edge_key_cache_.clear();
     std::fill(edge_key_slots_.begin(), edge_key_slots_.end(), EdgeKeySlot{});
+    clear_flood_macs();
     ++key_generation_;
   }
   return established;
@@ -155,7 +157,7 @@ bool Network::send_secure(NodeId from, NodeId to, const Bytes& payload) {
   e.to = to;
   e.edge_key = *key_index;
   e.payload = payload;
-  e.edge_mac = keys_.mac_context(*key_index).compute(payload);
+  e.edge_mac = edge_mac(*key_index, payload);
   return send_prepared(e);
 }
 
@@ -204,23 +206,31 @@ std::span<const Frame> Network::receive_valid(NodeId node, RxScratch& scratch,
   if (scratch.frames.size() == 1) {
     // One candidate: a direct verify skips the batch staging entirely.
     const Frame& f = scratch.frames.front();
-    const bool mac_ok =
-        keys_.mac_context(f.edge_key).verify(f.payload, f.edge_mac);
+    const bool mac_ok = edge_mac(f.edge_key, f.payload) == f.edge_mac;
     tracer.mac_verify(node, f.edge_key, mac_ok);
     if (!mac_ok) scratch.frames.clear();
     return scratch.frames;
   }
-  // All candidate MACs of the inbox verify through one multi-buffer batch;
-  // mac_verify events still fire in frame order, so the trace stream is
-  // identical to the old one-at-a-time loop.
+  // Candidates the flood memo covers compare against its entry; the rest
+  // of the inbox verifies through one multi-buffer batch. mac_verify
+  // events still fire in frame order, so the trace stream is identical to
+  // a one-at-a-time loop.
+  scratch.memo.clear();
   scratch.batch.clear();
-  for (const Frame& f : scratch.frames)
-    scratch.batch.add(keys_.mac_context(f.edge_key), f.payload);
-  scratch.batch.compute();
+  for (const Frame& f : scratch.frames) {
+    const Mac* memo = flood_mac(f.edge_key, f.payload);
+    scratch.memo.push_back(memo);
+    if (memo == nullptr)
+      scratch.batch.add(keys_.mac_context(f.edge_key), f.payload);
+  }
+  if (!scratch.batch.empty()) scratch.batch.compute();
   const std::span<const Mac> macs = scratch.batch.macs();
+  std::size_t lane = 0;
   std::size_t keep = 0;
   for (std::size_t i = 0; i < scratch.frames.size(); ++i) {
-    const bool mac_ok = macs[i] == scratch.frames[i].edge_mac;
+    const Mac& expected =
+        scratch.memo[i] != nullptr ? *scratch.memo[i] : macs[lane++];
+    const bool mac_ok = expected == scratch.frames[i].edge_mac;
     tracer.mac_verify(node, scratch.frames[i].edge_key, mac_ok);
     if (mac_ok) scratch.frames[keep++] = scratch.frames[i];
   }
@@ -321,6 +331,43 @@ void Network::warm_crypto_caches() const {
   warm_valid_ = true;
   warm_generation_ = key_generation_;
   warm_revoked_count_ = revocation_.revoked_key_count();
+}
+
+void Network::memo_flood_macs(std::span<const std::uint8_t> payload) {
+  flood_payload_.assign(payload.begin(), payload.end());
+  flood_macs_.assign(keys_.config().pool_size, std::nullopt);
+  const auto stamp =
+      static_cast<std::uint32_t>(revocation_.revoked_key_count()) + 1;
+  for (const EdgeKeySlot& slot : edge_key_slots_) {
+    // Pool keys only, so the memo stays O(u): a path key (indexed above
+    // the pool) and kNoKey fall outside it.
+    if (slot.stamp != stamp || slot.key.value >= flood_macs_.size())
+      continue;
+    std::optional<Mac>& mac = flood_macs_[slot.key.value];
+    if (!mac.has_value())
+      mac = keys_.mac_context(slot.key).compute(flood_payload_);
+  }
+}
+
+void Network::clear_flood_macs() noexcept {
+  flood_payload_.clear();
+  flood_macs_.clear();
+}
+
+const Mac* Network::flood_mac(
+    KeyIndex key, std::span<const std::uint8_t> payload) const noexcept {
+  if (key.value >= flood_macs_.size() || !flood_macs_[key.value].has_value())
+    return nullptr;
+  if (!std::equal(payload.begin(), payload.end(), flood_payload_.begin(),
+                  flood_payload_.end()))
+    return nullptr;
+  return &*flood_macs_[key.value];
+}
+
+Mac Network::edge_mac(KeyIndex key,
+                      std::span<const std::uint8_t> payload) const {
+  const Mac* memo = flood_mac(key, payload);
+  return memo != nullptr ? *memo : keys_.mac_context(key).compute(payload);
 }
 
 void Network::warm_edge_keys() const {

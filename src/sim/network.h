@@ -49,11 +49,13 @@ struct NetworkSpec {
 class SimulationSpec;
 
 /// Receive-side scratch for Network::receive_valid(): the candidate-frame
-/// list and the multi-buffer MAC batch live across calls, so draining an
-/// inbox allocates nothing in the steady state. Callers own one per thread
-/// of execution (the sharded phase drivers keep one per shard).
+/// list, each candidate's flood-memo entry and the multi-buffer MAC batch
+/// for the candidates the memo does not cover live across calls, so
+/// draining an inbox allocates nothing in the steady state. Callers own one
+/// per thread of execution (the sharded phase drivers keep one per shard).
 struct RxScratch {
   std::vector<Frame> frames;
+  std::vector<const Mac*> memo;  ///< per frame; nullptr = batched
   MacBatch batch;
 };
 
@@ -120,8 +122,13 @@ class Network {
   std::size_t broadcast_secure(NodeId from, const Bytes& payload);
 
   /// Honest receive: drain `node`'s inbox and keep only frames whose edge
-  /// key is in `node`'s own ring, not revoked, and whose MAC verifies. All
-  /// surviving MACs of one inbox verify through one multi-buffer batch.
+  /// key is in `node`'s own ring, not revoked, and whose MAC verifies. A
+  /// surviving frame whose payload is byte-equal to the flood memo's and
+  /// whose claimed key has a memo entry compares against that entry; the
+  /// other surviving MACs of the inbox verify through one multi-buffer
+  /// batch. Either way the expected MAC is MAC_key(payload) under the
+  /// claimed key's real material, so the verdicts — and the mac_verify
+  /// events, one per candidate in frame order — do not depend on the memo.
   /// The returned span points into `scratch` and is valid until its next
   /// use; frame payloads point into the fabric's delivery arena (valid
   /// until the next end_slot). Safe to call concurrently for distinct
@@ -146,6 +153,26 @@ class Network {
   /// shared non-revoked index read off a bitmap AND — O(n + E) ring
   /// derivations instead of O(E) pairwise merges.
   void warm_crypto_caches() const;
+
+  /// Memoize MAC_k(payload) for every distinct usable pool key k in the
+  /// warm edge-key slot table, replacing any previous memo. A phase that
+  /// sends one payload over every edge (the timestamp tree flood) then
+  /// computes each edge MAC once per key, not once per frame at the sender
+  /// and again at the receiver. Call at a serial point right after
+  /// warm_crypto_caches(); the memo is read-only until the next call or
+  /// clear_flood_macs(). It holds one optional MAC per pool key, nothing
+  /// per edge: a path key serves one edge, so its frames keep computing
+  /// their MACs. It is not snapshot state: it memoizes a pure function of
+  /// the payload and the key material, which rekey() and
+  /// establish_path_keys() change, so both drop it.
+  void memo_flood_macs(std::span<const std::uint8_t> payload);
+  void clear_flood_macs() noexcept;
+
+  /// MAC_key(payload): the flood memo's entry when `payload` is the
+  /// memoized payload and `key` has one, computed otherwise. Safe to call
+  /// concurrently after warm_crypto_caches().
+  [[nodiscard]] Mac edge_mac(KeyIndex key,
+                             std::span<const std::uint8_t> payload) const;
 
   /// Depth (max BFS level) of the full physical topology.
   [[nodiscard]] Level physical_depth() const { return topology_.depth(); }
@@ -205,6 +232,11 @@ class Network {
   /// re-derivation in Predistribution::node_holds decides (adversarial
   /// claims of non-edge keys, unwarmed serial call sites).
   [[nodiscard]] bool holds_claimed_key(NodeId node, const Frame& frame) const;
+
+  /// The flood memo's MAC for (key, payload), or nullptr when `payload` is
+  /// not the memoized payload or `key` has no entry.
+  [[nodiscard]] const Mac* flood_mac(
+      KeyIndex key, std::span<const std::uint8_t> payload) const noexcept;
 
   // Immutable deployment identity: pinned by snapshot_fingerprint(), not
   // serialized (see snapshot_save docs).
@@ -271,6 +303,15 @@ class Network {
   mutable std::uint64_t warm_generation_{0};
   // vmat-analyze: allow(snapshot-field-coverage) -- memo, recomputed on load
   mutable std::size_t warm_revoked_count_{0};
+
+  /// The flood memo (memo_flood_macs): the memoized payload and MAC_k of
+  /// it by pool key index k (nullopt = no entry). Transient per phase, never
+  /// captured: restoring a snapshot cannot change the key material under
+  /// it (snapshot_load() checks the key generation).
+  // vmat-analyze: allow(snapshot-field-coverage) -- transient memo
+  Bytes flood_payload_;
+  // vmat-analyze: allow(snapshot-field-coverage) -- transient memo
+  std::vector<std::optional<Mac>> flood_macs_;
 
   /// Backs the scratch-less receive_valid() overload. Transient per-call
   /// scratch, fully overwritten before every use.

@@ -198,9 +198,19 @@ TEST(Aggregation, SizeMismatchThrows) {
   AggFixture fx(Topology::line(3));
   const ValueTable bad(2, 1, 0);  // wrong node count
   const ValueTable weights(3, 1, 0);
+  ValueTable short_data(3, 1, 0);  // data one entry short of 3 x 1
+  short_data.data.pop_back();
+  const std::uint64_t sent = fx.net.fabric().frames_sent();
   EXPECT_THROW((void)run_aggregation(fx.net, nullptr, fx.tree, fx.config, bad,
                                      weights, fx.audits),
                std::invalid_argument);
+  EXPECT_THROW((void)run_aggregation(fx.net, nullptr, fx.tree, fx.config,
+                                     short_data, weights, fx.audits),
+               std::invalid_argument);
+  EXPECT_THROW((void)run_aggregation(fx.net, nullptr, fx.tree, fx.config,
+                                     weights, short_data, fx.audits),
+               std::invalid_argument);
+  EXPECT_EQ(fx.net.fabric().frames_sent(), sent);  // rejected before sending
 }
 
 }  // namespace

@@ -19,6 +19,14 @@
 // on the clean and the choke deployment; and Engine::run_batch of every
 // query kind on a serve-shaped tenant (36-sensor grid, 16 instances),
 // twice around a one-shot execute() so that the second batch re-arms.
+//
+// The tree-injector pins were recorded before tree formation read its edge
+// MACs from a per-key flood memo and the authenticated broadcast checked
+// its MAC once per broadcast. They run the two strategies that inject tree
+// frames: WormholeStrategy's forged hop count gives its frames a payload
+// other than the flood's, and RandomByzantineStrategy (seed 22) twice
+// sends hop count 0 — the flood payload itself — under attack_key_for()
+// keys.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -26,6 +34,7 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <unordered_set>
 #include <vector>
 
 #include "campaign/runner.h"
@@ -49,6 +58,9 @@ using Pin = std::vector<std::uint64_t>;
 const Pin kClean{11591741589093929726ULL, 6189108916529991057ULL, 186361};
 const Pin kChoke{2033210903319224917ULL, 9568597004007417957ULL, 349097};
 const Pin kLossy{9467243600887741915ULL, 8888707022840404558ULL, 185457};
+const Pin kWormhole{10066986752949007946ULL, 17606060689698221482ULL, 348799};
+const Pin kRandomByzantine{5952541235825412950ULL, 7431362531094453173ULL,
+                           349435};
 constexpr std::uint64_t kSnapshot = 11071568750588467936ULL;
 constexpr std::uint64_t kSnapshotBytes = 7299939;
 
@@ -114,17 +126,37 @@ std::unique_ptr<Adversary> choke_adversary(Network& net, CoordinatorSpec& cfg) {
   return std::move(built.value());
 }
 
+enum class Attack : std::uint8_t { kNone, kChoke, kWormhole, kRandomByzantine };
+
+/// A tree-frame injector on 4 sensors of `net`, with the depth bound the
+/// placement needs.
+std::unique_ptr<Adversary> tree_injector(Network& net, CoordinatorSpec& cfg,
+                                         Attack attack) {
+  const std::unordered_set<NodeId> malicious =
+      choose_malicious(deployment(), 4, 11);
+  cfg.depth_bound = deployment().depth(malicious) + 2;
+  std::unique_ptr<AdversaryStrategy> strategy;
+  if (attack == Attack::kWormhole)
+    strategy = std::make_unique<WormholeStrategy>(50);
+  else
+    strategy = std::make_unique<RandomByzantineStrategy>(22);
+  return std::make_unique<Adversary>(&net, malicious, std::move(strategy));
+}
+
 /// One recorded execution on a fresh network.
-Pin pin_run(const NetworkSpec& spec, bool choke) {
+Pin pin_run(const NetworkSpec& spec, Attack attack) {
   Network net(deployment(), spec);
   CoordinatorSpec cfg;
-  const std::unique_ptr<Adversary> adversary =
-      choke ? choke_adversary(net, cfg) : nullptr;
+  std::unique_ptr<Adversary> adversary;
+  if (attack == Attack::kChoke)
+    adversary = choke_adversary(net, cfg);
+  else if (attack != Attack::kNone)
+    adversary = tree_injector(net, cfg, attack);
   VmatCoordinator coordinator(&net, adversary.get(), cfg);
   FlightRecorder recorder;
   coordinator.set_recorder(&recorder);
   const ExecutionOutcome outcome = coordinator.run_min(readings());
-  if (choke) {
+  if (attack == Attack::kChoke) {
     EXPECT_EQ(outcome.kind, OutcomeKind::kRevocation);
     EXPECT_GT(outcome.pinpoint_cost.predicate_tests, 0u);
   }
@@ -243,9 +275,12 @@ TEST(BitIdentity, RunsAndSnapshotMatchPinnedDigests) {
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     SCOPED_TRACE(threads);
     const testing::ScopedThreads scoped(threads);
-    EXPECT_EQ(pin_run(keys(), false), kClean) << "clean";
-    EXPECT_EQ(pin_run(keys(), true), kChoke) << "choke";
-    EXPECT_EQ(pin_run(keys(0.02), false), kLossy) << "lossy";
+    EXPECT_EQ(pin_run(keys(), Attack::kNone), kClean) << "clean";
+    EXPECT_EQ(pin_run(keys(), Attack::kChoke), kChoke) << "choke";
+    EXPECT_EQ(pin_run(keys(0.02), Attack::kNone), kLossy) << "lossy";
+    EXPECT_EQ(pin_run(keys(), Attack::kWormhole), kWormhole) << "wormhole";
+    EXPECT_EQ(pin_run(keys(), Attack::kRandomByzantine), kRandomByzantine)
+        << "random byzantine";
 
     Network net(deployment(), keys());
     VmatCoordinator coordinator(&net, nullptr, CoordinatorSpec{});

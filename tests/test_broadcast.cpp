@@ -2,6 +2,8 @@
 // forgery rejection, epoch monotonicity.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "broadcast/auth_broadcast.h"
 
 namespace vmat {
@@ -72,6 +74,39 @@ TEST(AuthBroadcast, OldEpochAfterNewerRejected) {
   const auto b2 = bs.sign({2});
   EXPECT_TRUE(rx.accept(b2));
   EXPECT_FALSE(rx.accept(b1));  // stale
+}
+
+TEST(AuthBroadcast, SharedVerdictStillChecksEachReceiver) {
+  // One MAC verdict per broadcast, many receivers: each still rejects a
+  // replayed epoch and a chain element that does not hash to its anchor,
+  // even though that broadcast's MAC checks out under its own element, and
+  // each rejects a broadcast whose shared verdict is a MAC failure.
+  AuthBroadcaster bs(10, 10);
+  std::vector<AuthReceiver> receivers(4, AuthReceiver(bs.anchor()));
+  const auto b1 = bs.sign({1});
+  const BroadcastCheck first(b1);
+  ASSERT_TRUE(first.mac_ok);
+  for (AuthReceiver& rx : receivers) EXPECT_TRUE(rx.accept(first));
+  for (AuthReceiver& rx : receivers) EXPECT_FALSE(rx.accept(first));  // replay
+
+  auto forged = bs.sign({2});
+  forged.chain_element[3] ^= 0x40;
+  forged.mac = compute_mac(broadcast_key(forged.chain_element), forged.payload);
+  const BroadcastCheck wrong_chain(forged);
+  ASSERT_TRUE(wrong_chain.mac_ok);
+  for (AuthReceiver& rx : receivers) EXPECT_FALSE(rx.accept(wrong_chain));
+
+  auto tampered = bs.sign({3});
+  tampered.payload[0] ^= 1;
+  const BroadcastCheck bad_mac(tampered);
+  EXPECT_FALSE(bad_mac.mac_ok);
+  for (AuthReceiver& rx : receivers) EXPECT_FALSE(rx.accept(bad_mac));
+
+  // The rejections moved no receiver's cursor: the next genuine broadcast
+  // verifies across the gap.
+  const auto b4 = bs.sign({4});
+  const BroadcastCheck fourth(b4);
+  for (AuthReceiver& rx : receivers) EXPECT_TRUE(rx.accept(fourth));
 }
 
 }  // namespace

@@ -179,5 +179,19 @@ TEST(Confirmation, VetoersAtInvalidLevelStaySilent) {
   EXPECT_TRUE(out.arrivals.empty());
 }
 
+TEST(Confirmation, SizeMismatchThrows) {
+  ConfFixture fx(Topology::grid(4, 4));
+  const std::uint32_t n = fx.net.node_count();
+  ValueTable short_data = testing::one_instance(default_readings(n));
+  short_data.data.pop_back();  // one entry short of n x 1
+  const std::uint64_t sent = fx.net.fabric().frames_sent();
+  for (const ValueTable& bad :
+       {ValueTable(n - 1, 1, 5), ValueTable(n, 2, 5), short_data})
+    EXPECT_THROW((void)run_confirmation(fx.net, nullptr, fx.tree, {50}, 0x99,
+                                        bad, fx.audits),
+                 std::invalid_argument);
+  EXPECT_EQ(fx.net.fabric().frames_sent(), sent);  // rejected before sending
+}
+
 }  // namespace
 }  // namespace vmat

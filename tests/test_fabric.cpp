@@ -15,6 +15,7 @@
 #include "sim/fabric.h"
 #include "sim/network.h"
 #include "sim/snapshot.h"
+#include "trace/trace.h"
 
 namespace vmat {
 namespace {
@@ -570,6 +571,86 @@ TEST_F(NetworkTest, RevokedKeyRejectedAndFallbackUsed) {
   ASSERT_TRUE(net_.fabric().send(e));
   net_.fabric().end_slot();
   EXPECT_TRUE(net_.receive_valid(NodeId{1}).empty());
+}
+
+TEST_F(NetworkTest, FloodMemoVerdictsEqualBatchVerdicts) {
+  // One mixed inbox at node 1: the flood payload with the right MAC, the
+  // flood payload with one MAC byte flipped, the flood payload under a held
+  // key with no memo entry, another payload under a memoized key, and a
+  // revoked key. With or without the memo, receive_valid() must return the
+  // same frames and emit the same mac_verify events.
+  const Bytes flood{0x46, 0x4c, 0x44};
+  const Bytes other{0x4f, 0x54, 0x48};
+  const KeyIndex revoked = *net_.usable_edge_key(NodeId{0}, NodeId{1});
+  (void)net_.revocation().revoke_key(revoked);
+  net_.warm_crypto_caches();
+
+  std::vector<KeyIndex> memoized;
+  for (std::uint32_t id = 0; id + 1 < net_.node_count(); ++id)
+    memoized.push_back(*net_.usable_edge_key(NodeId{id}, NodeId{id + 1}));
+  const KeyIndex tabled = *net_.usable_edge_key(NodeId{0}, NodeId{1});
+  KeyIndex untabled = kNoKey;
+  for (const KeyIndex k : net_.keys().ring(NodeId{1}).indices())
+    if (k != revoked &&
+        std::find(memoized.begin(), memoized.end(), k) == memoized.end())
+      untabled = k;
+  ASSERT_NE(untabled, kNoKey);
+
+  auto frame = [&](KeyIndex key, const Bytes& payload, bool flip) {
+    Envelope e;
+    e.from = NodeId{0};
+    e.to = NodeId{1};
+    e.edge_key = key;
+    e.payload = payload;
+    e.edge_mac = compute_mac(net_.keys().key_material(key), payload);
+    if (flip) e.edge_mac.bytes[3] ^= 0x10;
+    return e;
+  };
+  const std::vector<Envelope> inbox{
+      frame(tabled, flood, false), frame(tabled, flood, true),
+      frame(untabled, flood, false), frame(tabled, other, false),
+      frame(revoked, flood, false)};
+
+  struct Drained {
+    std::vector<std::pair<KeyIndex, Bytes>> frames;
+    std::vector<TraceEvent> events;
+  };
+  auto drain = [&](std::span<const Envelope> sends) {
+    for (const Envelope& e : sends) EXPECT_TRUE(net_.fabric().send(e));
+    net_.fabric().end_slot();
+    TraceState state;
+    FlightRecorder recorder;
+    state.sink = &recorder;
+    RxScratch scratch;
+    Drained out;
+    for (const Frame& f :
+         net_.receive_valid(NodeId{1}, scratch, Tracer{&state}))
+      out.frames.emplace_back(f.edge_key, copy_of(f.payload));
+    out.events = recorder.events();
+    return out;
+  };
+  auto check = [&](std::span<const Envelope> sends) {
+    net_.memo_flood_macs(flood);
+    const Drained memo = drain(sends);
+    net_.clear_flood_macs();
+    const Drained batch = drain(sends);
+    EXPECT_EQ(memo.frames, batch.frames);
+    EXPECT_EQ(memo.events, batch.events);
+    return memo;
+  };
+
+  const Drained mixed = check(inbox);
+  const std::vector<std::pair<KeyIndex, Bytes>> accepted{
+      {tabled, flood}, {untabled, flood}, {tabled, other}};
+  EXPECT_EQ(mixed.frames, accepted);
+  ASSERT_EQ(mixed.events.size(), 4u);  // the revoked key never reaches a MAC
+  const bool verdicts[] = {true, false, true, true};
+  for (std::size_t i = 0; i < mixed.events.size(); ++i) {
+    EXPECT_EQ(mixed.events[i].kind, TraceEventKind::kMacVerify);
+    EXPECT_EQ(mixed.events[i].ok, verdicts[i]) << i;
+  }
+  // Each frame alone takes the one-candidate path.
+  for (const Envelope& e : inbox) check({&e, 1});
 }
 
 TEST_F(NetworkTest, BroadcastSecureHitsAllUsableNeighbors) {
