@@ -16,6 +16,7 @@
 // capture or epoch to reuse).
 #include <cstdio>
 #include <memory>
+#include <vector>
 #include <string>
 #include <vector>
 
@@ -72,18 +73,19 @@ TrailStats run_case(bool slotted, vmat::Interval replay_at) {
   // so the replayed veto reaches sensors the original flood never reached
   // (they are far from the vetoer).
   const std::uint32_t kArm = 12;
-  vmat::Topology topo(2 * kArm + 2);
+  std::vector<vmat::Edge> edges;
   // Arm A: 0-1-...-kArm (vetoer at kArm).
   for (std::uint32_t i = 0; i < kArm; ++i)
-    topo.add_edge(vmat::NodeId{i}, vmat::NodeId{i + 1});
+    edges.push_back({vmat::NodeId{i}, vmat::NodeId{i + 1}});
   // Arm B: 0-(kArm+1)-...-(2kArm).
-  topo.add_edge(vmat::NodeId{0}, vmat::NodeId{kArm + 1});
+  edges.push_back({vmat::NodeId{0}, vmat::NodeId{kArm + 1}});
   for (std::uint32_t i = kArm + 1; i < 2 * kArm; ++i)
-    topo.add_edge(vmat::NodeId{i}, vmat::NodeId{i + 1});
+    edges.push_back({vmat::NodeId{i}, vmat::NodeId{i + 1}});
   // Malicious bridge node adjacent to the vetoer and to the END of arm B.
   const vmat::NodeId bridge{2 * kArm + 1};
-  topo.add_edge(vmat::NodeId{kArm}, bridge);
-  topo.add_edge(bridge, vmat::NodeId{2 * kArm});
+  edges.push_back({vmat::NodeId{kArm}, bridge});
+  edges.push_back({bridge, vmat::NodeId{2 * kArm}});
+  const vmat::Topology topo(2 * kArm + 2, edges);
 
   vmat::Network net(topo, bench_keys());
   vmat::Adversary adv(&net, {bridge},

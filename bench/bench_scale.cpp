@@ -142,9 +142,6 @@ int main() {
   for (const std::uint32_t n : sizes) {
     const double radius = vmat::Topology::connected_radius(n);
     const auto topo = vmat::Topology::random_geometric(n, radius, 7);
-    // The big cells keep only the CSR adjacency (see bench_memory): the
-    // nested lists would dominate the topology's footprint at n >= 10^5.
-    if (n >= 50000) topo.shed_adjacency();
 
     // Guarantee the attack bites: find a deep node whose entire depth-1
     // neighborhood can go malicious without partitioning the honest

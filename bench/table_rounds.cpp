@@ -11,6 +11,7 @@
 #include <cmath>
 #include <cstdio>
 #include <memory>
+#include <vector>
 
 #include "attack/strategies.h"
 #include "campaign/strategy.h"
@@ -32,14 +33,16 @@ struct Gauntlet {
 
 Gauntlet make_gauntlet(std::uint32_t depth) {
   // Nodes: 0 (BS); chain 1..depth; detour depth+1..2*depth (same length).
-  vmat::Topology t(2 * depth + 1);
+  std::vector<vmat::Edge> edges;
   for (std::uint32_t i = 0; i < depth; ++i)
-    t.add_edge(vmat::NodeId{i}, vmat::NodeId{i + 1});
-  t.add_edge(vmat::NodeId{0}, vmat::NodeId{depth + 1});
+    edges.push_back({vmat::NodeId{i}, vmat::NodeId{i + 1}});
+  edges.push_back({vmat::NodeId{0}, vmat::NodeId{depth + 1}});
   for (std::uint32_t i = depth + 1; i < 2 * depth; ++i)
-    t.add_edge(vmat::NodeId{i}, vmat::NodeId{i + 1});
-  t.add_edge(vmat::NodeId{2 * depth}, vmat::NodeId{depth});  // join far ends
-  return {std::move(t), vmat::NodeId{depth / 2}, depth};
+    edges.push_back({vmat::NodeId{i}, vmat::NodeId{i + 1}});
+  // Join the far ends.
+  edges.push_back({vmat::NodeId{2 * depth}, vmat::NodeId{depth}});
+  return {vmat::Topology(2 * depth + 1, edges), vmat::NodeId{depth / 2},
+          depth};
 }
 
 vmat::NetworkSpec bench_keys(std::uint64_t seed) {

@@ -31,9 +31,9 @@ struct ParentLink {
 
 /// Per-node parent sets in CSR form: one flat link pool plus an n+1 offset
 /// row, instead of a vector-of-vectors (24 B header + one heap block per
-/// node). Rows are immutable once compacted — tree formation builds into a
+/// node). Rows are immutable once packed — tree formation builds into a
 /// transient nested builder (a node records all its parents in the single
-/// slot it adopts a level) and compacts at phase end.
+/// slot it adopts a level) and packs it at phase end.
 class ParentTable {
  public:
   ParentTable() = default;

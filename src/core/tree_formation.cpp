@@ -47,7 +47,7 @@ TreeResult run_timestamp_mode(Network& net, Adversary* adversary,
   ThreadPool& pool = ThreadPool::shared();
   std::vector<ShardBuf> bufs(shards);
   bufs[0].next.push_back({kBaseStation, {}});
-  // Flat per-shard parent staging, compacted into the CSR ParentTable at
+  // Flat per-shard parent staging, packed into the CSR ParentTable at
   // phase end (a node records all its parents in the one slot it adopts a
   // level, within its owning shard).
   std::vector<std::vector<ParentTable::Tagged>> parent_stage(shards);

@@ -39,33 +39,31 @@ void SlotArena::reset() noexcept {
   used_ = 0;
 }
 
-void SlotArena::release() noexcept {
-  chunks_.clear();
-  chunks_.shrink_to_fit();
-  active_ = 0;
-  used_ = 0;
-}
-
 std::size_t SlotArena::capacity() const noexcept {
   std::size_t total = 0;
   for (const Chunk& chunk : chunks_) total += chunk.size;
   return total;
 }
 
-Fabric::Fabric(const Topology* topology, std::size_t capacity_per_slot)
-    : topology_(topology),
-      capacity_per_slot_(capacity_per_slot),
-      sent_this_slot_(topology->node_count(), 0),
-      inbox_begin_(topology->node_count(), 0),
-      inbox_end_(topology->node_count(), 0),
-      bytes_sent_(topology->node_count(), 0),
-      bytes_received_(topology->node_count(), 0) {
+namespace {
+
+/// The per-node tables below are sized from the topology, so the pointer is
+/// checked before the first of them is built.
+const Topology* non_null(const Topology* topology) {
   if (topology == nullptr) throw std::invalid_argument("Fabric: null topology");
-  // Every phase loop sweeps neighbors per slot; make sure the adjacency is
-  // in its flat CSR form before the first hot loop runs (single-threaded
-  // here by construction).
-  topology->compact();
+  return topology;
 }
+
+}  // namespace
+
+Fabric::Fabric(const Topology* topology, std::size_t capacity_per_slot)
+    : topology_(non_null(topology)),
+      capacity_per_slot_(capacity_per_slot),
+      sent_this_slot_(topology_->node_count(), 0),
+      inbox_begin_(topology_->node_count(), 0),
+      inbox_end_(topology_->node_count(), 0),
+      bytes_sent_(topology_->node_count(), 0),
+      bytes_received_(topology_->node_count(), 0) {}
 
 Status Fabric::set_loss(double probability, std::uint64_t seed) {
   if (probability < 0.0 || probability >= 1.0)
@@ -157,17 +155,9 @@ std::span<const NodeId> Fabric::end_slot() {
     inbox_end_[id.value] = running;  // scatter cursor
     running += count;
   }
-  // Streaming mode retires the closing delivery slot's frame-table slack
-  // before the sort refills it: capacity tracks the current slot instead
-  // of the biggest slot ever seen.
-  if (streaming_) {
-    delivered_.clear();
-    delivered_.shrink_to_fit();
-  }
   delivered_.resize(staged_.size());
   for (const Frame& f : staged_) delivered_[inbox_end_[f.to.value]++] = f;
   staged_.clear();
-  if (streaming_) staged_.shrink_to_fit();
 
   // Per-receiver delivery accounting, in receiver id order.
   for (const NodeId id : receivers_) {
@@ -182,13 +172,8 @@ std::span<const NodeId> Fabric::end_slot() {
   // Rotate arenas: this slot's collection arena now backs the open delivery
   // slot; the previous delivery arena is rewound and starts collecting.
   // Undrained frames from the previous slot die here with their arena.
-  // Streaming mode frees the retiring arena's chunks outright instead of
-  // keeping their capacity parked for the rest of the run.
   collect_ ^= 1;
-  if (streaming_)
-    arenas_[collect_].release();
-  else
-    arenas_[collect_].reset();
+  arenas_[collect_].reset();
   return receivers_;
 }
 
@@ -205,15 +190,8 @@ void Fabric::reset() {
   rest_listed();
   staged_.clear();
   delivered_.clear();
-  if (streaming_) {
-    staged_.shrink_to_fit();
-    delivered_.shrink_to_fit();
-    arenas_[0].release();
-    arenas_[1].release();
-  } else {
-    arenas_[0].reset();
-    arenas_[1].reset();
-  }
+  arenas_[0].reset();
+  arenas_[1].reset();
   collect_ = 0;
 }
 
@@ -295,7 +273,7 @@ void Fabric::snapshot_load(SnapshotReader& r) {
   for (std::size_t i = 0; i < staged_count; ++i)
     staged_.push_back(load_frame(r, arenas_[collect_]));
 
-  // Delivered frames re-pack compacted (drained prefixes dropped); the
+  // Delivered frames re-pack densely (drained prefixes dropped); the
   // per-node ranges yield the same frames in the same order as before.
   // Receivers are the nodes with undrained frames; every other id rests at
   // the empty range.

@@ -21,8 +21,11 @@
 // *next* end_slot(). Inboxes are CSR-style index ranges over one flat frame
 // table (a stable sort of the slot's frames by destination), so a whole
 // execution performs O(1) steady-state allocations no matter how many
-// frames fly. Frames not drained within their delivery slot are discarded;
-// every phase driver drains every receiver's inbox every slot.
+// frames fly. There is one allocation policy: nothing is freed between
+// slots, so both arenas and both frame tables keep the biggest slot's
+// capacity for the fabric's lifetime (bench_memory measures what that
+// costs per node). Frames not drained within their delivery slot are
+// discarded; every phase driver drains every receiver's inbox every slot.
 //
 // Cost model: a slot costs what it carries. send() is O(1); end_slot() is
 // O(frames + receivers · log receivers) — it touches only this slot's
@@ -84,22 +87,6 @@ struct Frame {
 /// KB figures, table_comm_cost) derives from.
 inline constexpr std::size_t kFrameOverheadBytes = 20;
 
-/// Fabric allocation policy. Resident (the historical behavior) keeps every
-/// arena chunk and frame-table capacity for the life of the run — fastest,
-/// but the high-water mark of the biggest slot stays resident forever.
-/// Streaming retires a slot's payload chunks and frame-table slack as soon
-/// as the slot closes, trading per-slot reallocation for a resident
-/// footprint that tracks the *current* slot instead of the historical
-/// maximum. Purely an allocation policy: frames, delivery order, digests,
-/// and trace streams are bit-identical in both modes, so the mode is not
-/// part of the deployment fingerprint and snapshots restore across modes.
-enum class MemoryMode : std::uint8_t { kAuto, kResident, kStreaming };
-
-/// kAuto resolves to streaming at or above this many nodes: below it the
-/// retained arenas are small change; above it they are the difference
-/// between n=250k fitting comfortably and not.
-inline constexpr std::uint32_t kStreamingAutoThreshold = 50000;
-
 /// Reporting convention: 1 KB = 1000 bytes (decimal, not KiB), everywhere.
 inline constexpr double kBytesPerKb = 1000.0;
 
@@ -124,10 +111,6 @@ class SlotArena {
   /// Rewind to empty, keeping every chunk's capacity.
   void reset() noexcept;
 
-  /// Rewind to empty and free every chunk (streaming mode's per-slot
-  /// retirement; the next store() starts growing from scratch).
-  void release() noexcept;
-
   [[nodiscard]] std::size_t capacity() const noexcept;
   [[nodiscard]] std::size_t used() const noexcept { return used_; }
 
@@ -144,6 +127,8 @@ class SlotArena {
 
 class Fabric {
  public:
+  /// `topology` must outlive the fabric; nullptr throws
+  /// std::invalid_argument.
   explicit Fabric(const Topology* topology,
                   std::size_t capacity_per_slot =
                       std::numeric_limits<std::size_t>::max());
@@ -160,12 +145,6 @@ class Fabric {
   /// Attach (or detach, with a default-constructed handle) the flight
   /// recorder: send/deliver/drop/loss events and per-phase byte counters.
   void set_tracer(Tracer tracer) noexcept { tracer_ = tracer; }
-
-  /// Switch the streaming allocation policy on or off (see MemoryMode).
-  /// Takes effect at the next end_slot()/reset(); never changes behavior,
-  /// only where payload bytes live and for how long.
-  void set_streaming(bool on) noexcept { streaming_ = on; }
-  [[nodiscard]] bool streaming() const noexcept { return streaming_; }
 
   /// Queue a frame for delivery this slot. Returns false (and drops the
   /// frame) if the sender exhausted its transmit budget, or the (from, to)
@@ -226,8 +205,8 @@ class Fabric {
   void snapshot_save(SnapshotWriter& writer) const;
   /// Restore a snapshot_save() image. Arenas are rewound (capacity kept)
   /// and payload bytes re-enter them through store(), so a steady-state
-  /// restore allocates nothing; delivered frames are re-packed compacted,
-  /// which take_inbox() cannot distinguish from the original layout.
+  /// restore allocates nothing; delivered frames are re-packed without
+  /// drained gaps, which take_inbox() cannot tell from the original layout.
   void snapshot_load(SnapshotReader& reader);
   /// Fold the fabric's *configuration* (slot capacity, loss probability)
   /// into a deployment fingerprint.
@@ -249,10 +228,6 @@ class Fabric {
   std::size_t capacity_per_slot_;
   // vmat-analyze: allow(snapshot-field-coverage) -- fingerprint-pinned
   double loss_probability_{0.0};
-  // Allocation policy only (bit-identical either way), so neither
-  // serialized nor fingerprinted: snapshots restore across modes.
-  // vmat-analyze: allow(snapshot-field-coverage) -- allocation policy
-  bool streaming_{false};
   std::uint64_t loss_rng_state_{0};
   std::uint64_t lost_{0};
   // Per-node sends this slot; non-zero only for the ids in senders_, which

@@ -33,21 +33,20 @@ Network::Network(Topology topology, const NetworkSpec& config)
       keys_(topology_.node_count(), config.keys),
       revocation_(&keys_, config.revocation_threshold),
       fabric_(&topology_, config.capacity_per_slot),
-      redundancy_(config.redundancy == 0 ? 1 : config.redundancy) {
+      redundancy_(config.redundancy),
+      edge_key_slots_(topology_.directed_edge_count()) {
+  // Spec-validated configs never hit these; a hand-built config with an
+  // out-of-domain value still fails fast at construction.
+  if (config.redundancy == 0)
+    throw std::invalid_argument(
+        Error{ErrorCode::kInvalidArgument,
+              "Network: redundancy must be >= 1 (copies per transmission)"}
+            .to_string());
   if (config.loss_probability > 0.0) {
-    // Spec-validated configs never hit this; a hand-built config with an
-    // out-of-domain loss still fails fast at construction.
     const Status loss =
         fabric_.set_loss(config.loss_probability, config.keys.seed);
     if (!loss) throw std::invalid_argument(loss.error().to_string());
   }
-  // Fabric construction compacted the topology, so the directed-edge id
-  // space is fixed from here on.
-  edge_key_slots_.resize(topology_.directed_edge_count());
-  fabric_.set_streaming(
-      config.memory_mode == MemoryMode::kStreaming ||
-      (config.memory_mode == MemoryMode::kAuto &&
-       topology_.node_count() >= kStreamingAutoThreshold));
 }
 
 std::size_t Network::rekey(const KeyMaterialSpec& fresh_keys) {
@@ -58,7 +57,6 @@ std::size_t Network::rekey(const KeyMaterialSpec& fresh_keys) {
   revocation_.set_tracer(tracer_);
   for (NodeId s : dead) (void)revocation_.revoke_sensor(s);
   fabric_.reset();
-  edge_key_cache_.clear();
   std::fill(edge_key_slots_.begin(), edge_key_slots_.end(), EdgeKeySlot{});
   clear_flood_macs();
   ++key_generation_;
@@ -77,7 +75,6 @@ std::size_t Network::establish_path_keys() {
     }
   }
   if (established > 0) {
-    edge_key_cache_.clear();
     std::fill(edge_key_slots_.begin(), edge_key_slots_.end(), EdgeKeySlot{});
     clear_flood_macs();
     ++key_generation_;
@@ -94,34 +91,19 @@ std::vector<NodeId> Network::usable_neighbors(NodeId node) const {
 }
 
 std::optional<KeyIndex> Network::usable_edge_key(NodeId a, NodeId b) const {
-  const std::size_t revoked = revocation_.revoked_key_count();
   const std::uint32_t slot_index = topology_.directed_edge_slot(a, b);
-  if (slot_index != Topology::kNoDirectedEdge &&
-      slot_index < edge_key_slots_.size()) {
-    EdgeKeySlot& slot = edge_key_slots_[slot_index];
-    const std::uint32_t stamp = static_cast<std::uint32_t>(revoked) + 1;
-    if (slot.stamp == stamp) {
-      if (slot.key == kNoKey) return std::nullopt;
-      return slot.key;
-    }
-    const auto key = compute_usable_edge_key(a, b);
-    slot = {key.value_or(kNoKey), stamp};
+  if (slot_index == Topology::kNoDirectedEdge) return std::nullopt;
+  EdgeKeySlot& slot = edge_key_slots_[slot_index];
+  const auto stamp =
+      static_cast<std::uint32_t>(revocation_.revoked_key_count()) + 1;
+  if (slot.stamp != stamp) {
+    slot = {compute_usable_edge_key(a, b).value_or(kNoKey), stamp};
     // The relation is symmetric; fill the reverse direction too so b→a
     // skips its own ring merge.
-    const std::uint32_t reverse = topology_.directed_edge_slot(b, a);
-    if (reverse < edge_key_slots_.size()) edge_key_slots_[reverse] = slot;
-    return key;
+    edge_key_slots_[topology_.directed_edge_slot(b, a)] = slot;
   }
-  // Non-adjacent pair or un-compacted topology: the map path.
-  const std::uint64_t lo = std::min(a.value, b.value);
-  const std::uint64_t hi = std::max(a.value, b.value);
-  const std::uint64_t edge = (lo << 32) | hi;
-  const auto it = edge_key_cache_.find(edge);
-  if (it != edge_key_cache_.end() && it->second.revoked_count == revoked)
-    return it->second.key;
-  const auto key = compute_usable_edge_key(a, b);
-  edge_key_cache_[edge] = {key, revoked};
-  return key;
+  if (slot.key == kNoKey) return std::nullopt;
+  return slot.key;
 }
 
 std::optional<KeyIndex> Network::compute_usable_edge_key(NodeId a,
@@ -266,7 +248,9 @@ void Network::snapshot_load(SnapshotReader& r) {
   const bool contexts_warm =
       warm_valid_ && warm_generation_ == key_generation_;
   r.vec_pod(edge_key_slots_);
-  edge_key_cache_.clear();
+  if (edge_key_slots_.size() != topology_.directed_edge_count())
+    throw std::invalid_argument(
+        "Network::snapshot_load: edge-key table does not fit the topology");
   warm_valid_ = false;  // until the whole image has loaded
   revocation_.snapshot_load(r);
   fabric_.snapshot_load(r);
@@ -302,7 +286,7 @@ std::uint64_t Network::snapshot_fingerprint() const {
 
 bool Network::holds_claimed_key(NodeId node, const Frame& f) const {
   const std::uint32_t slot = topology_.directed_edge_slot(f.from, node);
-  if (slot != Topology::kNoDirectedEdge && slot < edge_key_slots_.size()) {
+  if (slot != Topology::kNoDirectedEdge) {
     const EdgeKeySlot& s = edge_key_slots_[slot];
     const auto stamp =
         static_cast<std::uint32_t>(revocation_.revoked_key_count()) + 1;
@@ -430,10 +414,8 @@ void Network::warm_edge_keys() const {
           key = *path;
       }
       const EdgeKeySlot slot{key, stamp};
-      const std::uint32_t fwd = topology_.directed_edge_slot(NodeId{id}, v);
-      const std::uint32_t rev = topology_.directed_edge_slot(v, NodeId{id});
-      if (fwd < edge_key_slots_.size()) edge_key_slots_[fwd] = slot;
-      if (rev < edge_key_slots_.size()) edge_key_slots_[rev] = slot;
+      edge_key_slots_[topology_.directed_edge_slot(NodeId{id}, v)] = slot;
+      edge_key_slots_[topology_.directed_edge_slot(v, NodeId{id})] = slot;
     }
   }
 }

@@ -8,13 +8,17 @@
 // Nothing here knows about protocol semantics or about which nodes are
 // malicious; the adversary bypasses these helpers and talks to the fabric
 // directly (constrained by physics and by the keys it actually holds).
+//
+// The topology is fixed at construction, so the network keeps one edge-key
+// table: one slot per directed edge, filled lazily (or all at once by
+// warm_crypto_caches()) and invalidated by revocation. Only physical
+// neighbors have edge keys.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <optional>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "crypto/mac_batch.h"
@@ -38,12 +42,9 @@ struct NetworkSpec {
   double loss_probability{0.0};
   /// Blind repetitions per logical transmission — the paper's "after
   /// proper retransmissions if necessary". With loss p and redundancy k, a
-  /// logical message is lost with probability p^k.
+  /// logical message is lost with probability p^k. Must be >= 1: the
+  /// Network constructor throws std::invalid_argument on 0.
   std::uint32_t redundancy{1};
-  /// Fabric allocation policy (sim/fabric.h). kAuto resolves to streaming
-  /// at node counts >= kStreamingAutoThreshold, resident below. Purely an
-  /// allocation policy — results are bit-identical either way.
-  MemoryMode memory_mode{MemoryMode::kAuto};
 };
 
 class SimulationSpec;
@@ -99,7 +100,9 @@ class Network {
   /// edge key. This is the communication graph honest protocol code uses.
   [[nodiscard]] std::vector<NodeId> usable_neighbors(NodeId node) const;
 
-  /// The usable edge key between two physical neighbors, if any.
+  /// The usable edge key between two physical neighbors, if any; nullopt
+  /// for a non-adjacent pair, whatever keys their rings share (only
+  /// physical neighbors can talk, so only edges have edge keys).
   [[nodiscard]] std::optional<KeyIndex> usable_edge_key(NodeId a,
                                                         NodeId b) const;
 
@@ -206,12 +209,11 @@ class Network {
   /// is pinned by snapshot_fingerprint() and the captured key_generation.
   void snapshot_save(SnapshotWriter& writer) const;
   /// Restore a snapshot_save() image. Throws std::invalid_argument when
-  /// the key material changed since capture (key_generation mismatch).
-  /// The map-side edge-key cache is cleared, not restored: recompute is
-  /// deterministic, so behavior is identical either way. The restored
-  /// slot table counts as warm (no re-warm before the next parallel
-  /// section) only if every slot carries the restored registry's stamp
-  /// and the MAC contexts were already warm at this key generation.
+  /// the key material changed since capture (key_generation mismatch) or
+  /// the slot table does not fit this topology. The restored slot table
+  /// counts as warm (no re-warm before the next parallel section) only if
+  /// every slot carries the restored registry's stamp and the MAC contexts
+  /// were already warm at this key generation.
   void snapshot_load(SnapshotReader& reader);
   /// Identity hash of the immutable deployment substrate: topology CSR,
   /// key-material spec, revocation threshold, redundancy, fabric config.
@@ -257,31 +259,19 @@ class Network {
   // vmat-analyze: allow(snapshot-field-coverage) -- trace sink, not state
   Tracer tracer_;
 
-  /// Per-edge cache of the usable_edge_key() ring merge. An entry is valid
-  /// while the registry's revoked-key count (monotone: keys are only ever
-  /// added) still matches the count recorded at fill time; any revocation
-  /// in between forces a recompute, since it may have burned the cached
-  /// key or changed the smallest-non-revoked answer. Cleared wholesale on
-  /// rekey() and establish_path_keys(), which change the key material
-  /// itself. Lazily mutated, hence not thread-safe in general; the sharded
-  /// phase drivers call warm_crypto_caches() at a serial point first, after
-  /// which parallel lookups are read-only hits.
-  struct EdgeKeyEntry {
-    std::optional<KeyIndex> key;
-    std::size_t revoked_count;
-  };
-  // Not snapshot-captured: snapshot_load() clears it and lets the
-  // deterministic recompute repopulate (see snapshot_load docs).
-  // vmat-lint: allow(snapshot-unsafe-state) -- cleared on load, recompute
-  mutable std::unordered_map<std::uint64_t, EdgeKeyEntry> edge_key_cache_;
-
-  /// Flat fast path in front of edge_key_cache_: one 8-byte slot per
-  /// directed CSR edge, indexed by Topology::directed_edge_slot(), so the
-  /// per-frame lookup is two array loads instead of a hash probe. stamp is
-  /// revoked_key_count()+1 at fill time (0 = unset); key == kNoKey means
-  /// "no usable edge key". Sized once at construction (the fabric compacts
-  /// the topology first); cleared by rekey()/establish_path_keys(). The
-  /// map stays behind it for non-adjacent queries.
+  /// The one edge-key table: a cache of the usable_edge_key() ring merge
+  /// with one 8-byte slot per directed edge, indexed by
+  /// Topology::directed_edge_slot(), so the per-frame lookup is two array
+  /// loads. stamp is revoked_key_count()+1 at fill time (0 = unset): a slot
+  /// is valid while the registry's revoked-key count (monotone: keys are
+  /// only ever added) still matches, since any revocation in between may
+  /// have burned the cached key or changed the smallest-non-revoked answer.
+  /// key == kNoKey means "no usable edge key". Sized once at construction
+  /// from the fixed topology; cleared by rekey()/establish_path_keys(),
+  /// which change the key material itself. Lazily filled, hence not
+  /// thread-safe in general; the sharded phase drivers call
+  /// warm_crypto_caches() at a serial point first, after which parallel
+  /// lookups are read-only hits.
   struct EdgeKeySlot {
     KeyIndex key{kNoKey};
     std::uint32_t stamp{0};

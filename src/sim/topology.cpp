@@ -10,89 +10,63 @@
 
 namespace vmat {
 
-Topology::Topology(std::uint32_t node_count)
-    : node_count_(node_count), adj_(node_count) {
+Topology::Topology(std::uint32_t node_count, std::span<const Edge> edges)
+    : node_count_(node_count), offsets_(std::size_t{node_count} + 1, 0) {
   if (node_count == 0) throw std::invalid_argument("Topology: zero nodes");
-}
-
-void Topology::add_edge(NodeId a, NodeId b) {
-  if (a.value >= node_count_ || b.value >= node_count_)
-    throw std::out_of_range("Topology::add_edge");
-  if (a == b) throw std::invalid_argument("Topology::add_edge: self-loop");
-  if (adj_.empty() && csr_ready_) {
-    // Rehydrate the nested lists from the CSR so construction can resume
-    // after a shed_adjacency().
-    adj_.resize(node_count_);
-    for (std::uint32_t id = 0; id < node_count_; ++id) {
-      const auto row = neighbors(NodeId{id});
-      adj_[id].assign(row.begin(), row.end());
+  // Count each node's degree, prefix-sum the counts into row offsets, then
+  // scatter the edges in list order: every row lists its edges in the order
+  // the list names them.
+  for (const Edge& e : edges) {
+    if (e.a.value >= node_count || e.b.value >= node_count)
+      throw std::out_of_range("Topology: edge endpoint out of range");
+    if (e.a == e.b) throw std::invalid_argument("Topology: self-loop");
+    ++offsets_[e.a.value + 1];
+    ++offsets_[e.b.value + 1];
+  }
+  for (std::uint32_t id = 0; id < node_count; ++id)
+    offsets_[id + 1] += offsets_[id];
+  neighbors_.resize(offsets_[node_count]);
+  std::vector<std::uint32_t> cursor(offsets_.begin(), offsets_.end() - 1);
+  for (const Edge& e : edges) {
+    neighbors_[cursor[e.a.value]++] = e.b;
+    neighbors_[cursor[e.b.value]++] = e.a;
+  }
+  // A repeated edge repeats a neighbor within a row. cursor now serves as
+  // the row each neighbor was last seen in (id + 1; 0 = not yet).
+  std::fill(cursor.begin(), cursor.end(), 0);
+  for (std::uint32_t id = 0; id < node_count; ++id) {
+    for (const NodeId v : neighbors(NodeId{id})) {
+      if (cursor[v.value] == id + 1)
+        throw std::invalid_argument("Topology: repeated edge");
+      cursor[v.value] = id + 1;
     }
   }
-  if (has_edge(a, b)) return;
-  adj_[a.value].push_back(b);
-  adj_[b.value].push_back(a);
-  csr_ready_ = false;
-}
-
-void Topology::compact() const {
-  if (csr_ready_) return;
-  csr_offsets_.assign(adj_.size() + 1, 0);
-  std::size_t total = 0;
-  for (std::size_t id = 0; id < adj_.size(); ++id) {
-    csr_offsets_[id] = static_cast<std::uint32_t>(total);
-    total += adj_[id].size();
-  }
-  csr_offsets_[adj_.size()] = static_cast<std::uint32_t>(total);
-  csr_neighbors_.clear();
-  csr_neighbors_.reserve(total);
-  for (const auto& list : adj_)
-    csr_neighbors_.insert(csr_neighbors_.end(), list.begin(), list.end());
-  csr_ready_ = true;
-}
-
-void Topology::shed_adjacency() const {
-  compact();
-  adj_.clear();
-  adj_.shrink_to_fit();
 }
 
 bool Topology::has_edge(NodeId a, NodeId b) const noexcept {
-  if (csr_ready_) return directed_edge_slot(a, b) != kNoDirectedEdge;
-  if (a.value >= adj_.size()) return false;
-  const auto& list = adj_[a.value];
-  return std::find(list.begin(), list.end(), b) != list.end();
+  return directed_edge_slot(a, b) != kNoDirectedEdge;
 }
 
 std::uint32_t Topology::directed_edge_slot(NodeId from,
                                            NodeId to) const noexcept {
-  if (!csr_ready_ || from.value >= node_count_) return kNoDirectedEdge;
-  const std::uint32_t begin = csr_offsets_[from.value];
-  const std::uint32_t end = csr_offsets_[from.value + 1];
+  if (from.value >= node_count_) return kNoDirectedEdge;
+  const std::uint32_t begin = offsets_[from.value];
+  const std::uint32_t end = offsets_[from.value + 1];
   for (std::uint32_t i = begin; i < end; ++i)
-    if (csr_neighbors_[i] == to) return i;
+    if (neighbors_[i] == to) return i;
   return kNoDirectedEdge;
 }
 
 std::span<const NodeId> Topology::neighbors(NodeId node) const {
   if (node.value >= node_count_)
     throw std::out_of_range("Topology::neighbors");
-  if (csr_ready_) {
-    return std::span<const NodeId>(
-        csr_neighbors_.data() + csr_offsets_[node.value],
-        csr_offsets_[node.value + 1] - csr_offsets_[node.value]);
-  }
-  return adj_[node.value];
+  return std::span<const NodeId>(
+      neighbors_.data() + offsets_[node.value],
+      offsets_[node.value + 1] - offsets_[node.value]);
 }
 
 std::size_t Topology::degree(NodeId node) const {
   return neighbors(node).size();
-}
-
-std::size_t Topology::edge_count() const noexcept {
-  if (csr_ready_) return csr_neighbors_.size() / 2;
-  std::size_t total = 0;
-  for (const auto& list : adj_) total += list.size();
-  return total / 2;
 }
 
 std::vector<Level> Topology::bfs_depth(
@@ -130,53 +104,54 @@ bool Topology::connected(const std::unordered_set<NodeId>& excluded) const {
 }
 
 Topology Topology::secure_subgraph(const Predistribution& keys) const {
-  Topology out(node_count());
+  std::vector<Edge> edges;
   for (std::uint32_t id = 0; id < node_count_; ++id) {
     for (NodeId v : neighbors(NodeId{id})) {
       if (v.value < id) continue;  // each undirected edge once
-      if (keys.edge_key(NodeId{id}, v).has_value()) out.add_edge(NodeId{id}, v);
+      if (keys.edge_key(NodeId{id}, v).has_value())
+        edges.push_back({NodeId{id}, v});
     }
   }
-  return out;
+  return Topology(node_count_, edges);
 }
 
 Topology Topology::line(std::uint32_t n) {
-  Topology t(n);
+  std::vector<Edge> edges;
   for (std::uint32_t i = 0; i + 1 < n; ++i)
-    t.add_edge(NodeId{i}, NodeId{i + 1});
-  return t;
+    edges.push_back({NodeId{i}, NodeId{i + 1}});
+  return Topology(n, edges);
 }
 
 Topology Topology::grid(std::uint32_t width, std::uint32_t height) {
   if (width == 0 || height == 0)
     throw std::invalid_argument("Topology::grid: empty");
-  Topology t(width * height);
   const auto id = [width](std::uint32_t x, std::uint32_t y) {
     return NodeId{y * width + x};
   };
+  std::vector<Edge> edges;
   for (std::uint32_t y = 0; y < height; ++y) {
     for (std::uint32_t x = 0; x < width; ++x) {
-      if (x + 1 < width) t.add_edge(id(x, y), id(x + 1, y));
-      if (y + 1 < height) t.add_edge(id(x, y), id(x, y + 1));
+      if (x + 1 < width) edges.push_back({id(x, y), id(x + 1, y)});
+      if (y + 1 < height) edges.push_back({id(x, y), id(x, y + 1)});
     }
   }
-  return t;
+  return Topology(width * height, edges);
 }
 
 Topology Topology::star_of_chains(std::uint32_t branches,
                                   std::uint32_t chain_length) {
   if (branches == 0 || chain_length == 0)
     throw std::invalid_argument("Topology::star_of_chains: empty");
-  Topology t(1 + branches * chain_length);
+  std::vector<Edge> edges;
   for (std::uint32_t b = 0; b < branches; ++b) {
     NodeId prev = kBaseStation;
     for (std::uint32_t i = 0; i < chain_length; ++i) {
       const NodeId next{1 + b * chain_length + i};
-      t.add_edge(prev, next);
+      edges.push_back({prev, next});
       prev = next;
     }
   }
-  return t;
+  return Topology(1 + branches * chain_length, edges);
 }
 
 namespace {
@@ -209,9 +184,10 @@ void geometric_points(std::uint32_t n, std::uint64_t seed, int attempt,
 
 /// Above this size the O(n^2) pairwise scan is the bottleneck of every
 /// large bench cell; the cell-bucketed discovery produces the identical
-/// graph (tested) in O(n · expected degree). The crossover is well below
-/// this in practice; the brute scan is kept for tiny graphs only because
-/// its simplicity anchors the equivalence test.
+/// graph in O(n · expected degree). The crossover is well below this in
+/// practice; the brute scan is kept for small graphs only because its
+/// simplicity anchors the equivalence test
+/// (Topology.RandomGeometricCellsMatchesPairwise).
 constexpr std::uint32_t kGeometricCellThreshold = 2048;
 
 }  // namespace
@@ -229,17 +205,19 @@ Topology Topology::random_geometric(std::uint32_t n, double radius,
   if (n >= kGeometricCellThreshold)
     return random_geometric_cells(n, radius, seed, max_attempts);
   std::vector<double> x, y;
+  std::vector<Edge> edges;
   for (int attempt = 0; attempt < max_attempts; ++attempt) {
     geometric_points(n, seed, attempt, x, y);
-    Topology t(n);
+    edges.clear();
     const double r2 = radius * radius;
     for (std::uint32_t i = 0; i < n; ++i) {
       for (std::uint32_t j = i + 1; j < n; ++j) {
         const double dx = x[i] - x[j];
         const double dy = y[i] - y[j];
-        if (dx * dx + dy * dy <= r2) t.add_edge(NodeId{i}, NodeId{j});
+        if (dx * dx + dy * dy <= r2) edges.push_back({NodeId{i}, NodeId{j}});
       }
     }
+    Topology t(n, edges);
     if (t.connected()) return t;
   }
   throw std::runtime_error(
@@ -251,6 +229,7 @@ Topology Topology::random_geometric_cells(std::uint32_t n, double radius,
                                           std::uint64_t seed,
                                           int max_attempts) {
   std::vector<double> x, y;
+  std::vector<Edge> edges;
   for (int attempt = 0; attempt < max_attempts; ++attempt) {
     geometric_points(n, seed, attempt, x, y);
 
@@ -279,13 +258,13 @@ Topology Topology::random_geometric_cells(std::uint32_t n, double radius,
       for (std::uint32_t i = 0; i < n; ++i) by_cell[cursor[cell_of(i)]++] = i;
     }
 
-    Topology t(n);
+    edges.clear();
     std::vector<std::uint32_t> candidates;
     for (std::uint32_t i = 0; i < n; ++i) {
       // Gather every j > i within range from the 9 surrounding cells, then
-      // add edges in ascending j — the exact insertion order the pairwise
-      // scan produces, so adjacency lists (and everything derived from
-      // their order) are bit-identical.
+      // list edges in ascending j — the exact edge order the pairwise scan
+      // produces, so neighbor rows (and everything derived from their
+      // order) are bit-identical.
       candidates.clear();
       const auto c = cell_of(i);
       const std::uint32_t cx = c % grid;
@@ -306,8 +285,10 @@ Topology Topology::random_geometric_cells(std::uint32_t n, double radius,
         }
       }
       std::sort(candidates.begin(), candidates.end());
-      for (std::uint32_t j : candidates) t.add_edge(NodeId{i}, NodeId{j});
+      for (std::uint32_t j : candidates)
+        edges.push_back({NodeId{i}, NodeId{j}});
     }
+    Topology t(n, edges);
     if (t.connected()) return t;
   }
   throw std::runtime_error(

@@ -1,10 +1,12 @@
 // Physical network topologies for the simulator.
 //
 // A topology is an undirected graph over nodes 0..n-1; node 0 is the base
-// station. Generators cover the shapes used by the paper's discussion and
-// our benches: random geometric graphs (the standard sensor deployment
-// model), grids, lines (worst-case depth), and a star-of-chains (controlled
-// L with controlled branching).
+// station. It is the fixed part of a deployment: built once from an edge
+// list, in CSR form, and never changed (revocation changes which edge keys
+// are usable, not which radio links exist). Generators cover the shapes
+// used by the paper's discussion and our benches: random geometric graphs
+// (the standard sensor deployment model), grids, lines (worst-case depth),
+// and a star-of-chains (controlled L with controlled branching).
 #pragma once
 
 #include <cstdint>
@@ -18,58 +20,58 @@ namespace vmat {
 
 class Predistribution;
 
+/// One undirected edge {a, b}; a Topology is built from a list of them.
+struct Edge {
+  NodeId a;
+  NodeId b;
+};
+
+/// The physical deployment graph, fixed at construction. It is stored once,
+/// in CSR form: one flat neighbor array plus per-node row offsets, so every
+/// row is a contiguous span and a directed edge has a dense id (its index in
+/// the flat array). Nothing mutates a Topology after construction, so any
+/// number of threads may read one concurrently.
 class Topology {
  public:
-  explicit Topology(std::uint32_t node_count);
+  /// Build the graph in one pass over `edges`. Each node's neighbor row
+  /// keeps list order: edge {a, b} appends b to a's row and a to b's. That
+  /// order is the protocol's send order, so every digest depends on it.
+  /// Throws std::invalid_argument for zero nodes, a self-loop or a repeated
+  /// edge (either orientation), and std::out_of_range for an endpoint
+  /// outside [0, node_count).
+  Topology(std::uint32_t node_count, std::span<const Edge> edges);
 
   [[nodiscard]] std::uint32_t node_count() const noexcept {
     return node_count_;
   }
 
-  /// Add an undirected edge (idempotent; self-loops rejected).
-  void add_edge(NodeId a, NodeId b);
-
   [[nodiscard]] bool has_edge(NodeId a, NodeId b) const noexcept;
   [[nodiscard]] std::span<const NodeId> neighbors(NodeId node) const;
   [[nodiscard]] std::size_t degree(NodeId node) const;
-  [[nodiscard]] std::size_t edge_count() const noexcept;
+  [[nodiscard]] std::size_t edge_count() const noexcept {
+    return neighbors_.size() / 2;
+  }
 
-  /// Flatten the per-node adjacency lists into one contiguous CSR array
-  /// (neighbor order preserved). Once compacted, neighbors() serves spans
-  /// out of the flat array — one allocation for the whole graph and
-  /// cache-friendly sweeps for the hot per-slot loops. add_edge()
-  /// invalidates the CSR; Fabric construction re-compacts, so every
-  /// simulated topology is compact by the time a protocol phase runs.
-  /// Must not race with readers: call at single-threaded points only.
-  void compact() const;
-
-  [[nodiscard]] bool compacted() const noexcept { return csr_ready_; }
-
-  /// Release the per-node adjacency lists, keeping only the flat CSR form.
-  /// For large deployments the nested lists cost ~24 bytes/node of vector
-  /// headers on top of a second copy of every neighbor id; once compacted
-  /// the CSR serves every read path, so benches at n >= 10^5 shed the
-  /// nested form before constructing the network. A later add_edge()
-  /// transparently rehydrates the lists from the CSR. Compacts first if
-  /// needed; same single-threaded-point contract as compact().
-  void shed_adjacency() const;
+  /// No-op: the CSR form is the only one, so there is nothing to release.
+  /// Kept because the benchmark's clean-50k workload still calls it.
+  void shed_adjacency() const noexcept {}
 
   /// Sentinel for "no such directed edge" from directed_edge_slot().
   static constexpr std::uint32_t kNoDirectedEdge = 0xffffffffu;
 
-  /// Position of `to` within `from`'s CSR neighbor row, as an index into
-  /// the flat neighbor array — a stable dense id for the directed edge
+  /// Position of `to` within `from`'s neighbor row, as an index into the
+  /// flat neighbor array — a stable dense id for the directed edge
   /// from→to that flat per-edge side tables (e.g. the network's edge-key
-  /// cache) can index by. Returns kNoDirectedEdge when the edge is absent
-  /// or the topology is not compacted. The scan is linear over one row:
-  /// sensor degrees are small, so this beats hashing an edge pair.
+  /// slots) can index by. Returns kNoDirectedEdge when the edge is absent.
+  /// The scan is linear over one row: sensor degrees are small, so this
+  /// beats hashing an edge pair.
   [[nodiscard]] std::uint32_t directed_edge_slot(NodeId from,
                                                  NodeId to) const noexcept;
 
-  /// Size of the flat CSR neighbor array (2x undirected edge count); the
-  /// domain of directed_edge_slot(). 0 until compacted.
+  /// Size of the flat neighbor array (2x undirected edge count); the
+  /// domain of directed_edge_slot().
   [[nodiscard]] std::size_t directed_edge_count() const noexcept {
-    return csr_neighbors_.size();
+    return neighbors_.size();
   }
 
   /// BFS depth of every node from the base station, skipping nodes in
@@ -127,8 +129,8 @@ class Topology {
   /// radius-sized cells so edge discovery is O(n · expected degree) instead
   /// of O(n^2). Produces the *identical* topology (same coordinates, same
   /// edge set, same adjacency order) as the pairwise scan for any input —
-  /// random_geometric() delegates here above a size threshold; exposed so
-  /// the equivalence is testable.
+  /// random_geometric() delegates here at and above 2,048 nodes; exposed so
+  /// Topology.RandomGeometricCellsMatchesPairwise can check the equivalence.
   [[nodiscard]] static Topology random_geometric_cells(std::uint32_t n,
                                                        double radius,
                                                        std::uint64_t seed,
@@ -136,18 +138,9 @@ class Topology {
 
  private:
   std::uint32_t node_count_{0};
-  // Primary adjacency during construction; may be shed once the CSR mirror
-  // exists (see shed_adjacency()). Mutable together with the CSR members so
-  // the release is expressible through the const Topology& the network
-  // layers hold.
-  mutable std::vector<std::vector<NodeId>> adj_;
-  // CSR mirror of adj_ (flat neighbor array + per-node offsets), built by
-  // compact(). Mutable: compact() is a const view change, not a graph
-  // change. Reads are lock-free once built; building must be
-  // single-threaded (see compact()).
-  mutable std::vector<NodeId> csr_neighbors_;
-  mutable std::vector<std::uint32_t> csr_offsets_;
-  mutable bool csr_ready_{false};
+  // Row `id` is neighbors_[offsets_[id] .. offsets_[id + 1]).
+  std::vector<NodeId> neighbors_;
+  std::vector<std::uint32_t> offsets_;
 };
 
 }  // namespace vmat

@@ -116,7 +116,6 @@ NetworkSpec SimulationSpec::network() const noexcept {
   net.capacity_per_slot = capacity_;
   net.loss_probability = loss_;
   net.redundancy = redundancy_;
-  net.memory_mode = memory_mode_;
   return net;
 }
 

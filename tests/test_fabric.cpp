@@ -1,7 +1,7 @@
 // Fabric and secure-network mechanics: slotted delivery, physics
 // constraints, capacity, accounting, arena payload lifetime, the honest
 // receive discipline, and the large-n memory-diet structures (ParentTable
-// CSR, pooled AuditLog chains, streaming allocation policy).
+// CSR, pooled AuditLog chains).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -44,6 +44,10 @@ TEST(Fabric, DeliversAfterEndSlotOnly) {
   EXPECT_EQ(inbox[0].payload[0], 7);
   // Drained: second take is empty.
   EXPECT_TRUE(fabric.take_inbox(NodeId{1}).empty());
+}
+
+TEST(Fabric, NullTopologyThrows) {
+  EXPECT_THROW(Fabric(nullptr), std::invalid_argument);
 }
 
 TEST(Fabric, RefusesNonNeighborTransmission) {
@@ -419,84 +423,6 @@ TEST(AuditLog, PooledChainsPreserveArrivalOrderAcrossShardPlans) {
   }
 }
 
-TEST(Fabric, StreamingModeDeliversIdenticalFrames) {
-  const auto topo = Topology::line(4);
-  Fabric resident(&topo);
-  Fabric streaming(&topo);
-  streaming.set_streaming(true);
-
-  for (int slot = 0; slot < 3; ++slot) {
-    for (std::uint32_t i = 0; i + 1 < 4; ++i) {
-      Envelope e = plain(NodeId{i}, NodeId{i + 1},
-                         static_cast<std::uint8_t>(slot * 4 + i));
-      e.payload.resize(32 + 7 * i, e.payload[0]);
-      ASSERT_TRUE(resident.send(e));
-      ASSERT_TRUE(streaming.send(e));
-    }
-    resident.end_slot();
-    streaming.end_slot();
-    for (std::uint32_t i = 1; i < 4; ++i) {
-      const auto a = resident.take_inbox(NodeId{i});
-      const auto b = streaming.take_inbox(NodeId{i});
-      ASSERT_EQ(a.size(), b.size());
-      for (std::size_t k = 0; k < a.size(); ++k) {
-        EXPECT_EQ(a[k].from, b[k].from);
-        EXPECT_EQ(a[k].to, b[k].to);
-        EXPECT_EQ(a[k].edge_key, b[k].edge_key);
-        EXPECT_EQ(copy_of(a[k].payload), copy_of(b[k].payload));
-      }
-    }
-  }
-  EXPECT_EQ(resident.total_bytes(), streaming.total_bytes());
-  EXPECT_EQ(resident.frames_sent(), streaming.frames_sent());
-}
-
-TEST(Fabric, StreamingModeRetiresArenaCapacity) {
-  const auto topo = Topology::line(2);
-  Fabric fabric(&topo);
-  fabric.set_streaming(true);
-  // One fat slot, then quiet slots: resident mode would keep the fat
-  // slot's chunks forever; streaming retires them as the slot closes.
-  Envelope big = plain(NodeId{0}, NodeId{1}, 1);
-  big.payload = Bytes(1 << 16, 0xcd);
-  ASSERT_TRUE(fabric.send(big));
-  fabric.end_slot();
-  const auto inbox = fabric.take_inbox(NodeId{1});
-  ASSERT_EQ(inbox.size(), 1u);
-  EXPECT_EQ(copy_of(inbox[0].payload), big.payload);  // span still valid
-  fabric.end_slot();  // the fat slot's arena is now the retiring one
-  fabric.end_slot();
-  EXPECT_EQ(fabric.arena_capacity(), 0u);
-  // Traffic still flows after full retirement.
-  ASSERT_TRUE(fabric.send(plain(NodeId{0}, NodeId{1}, 2)));
-  fabric.end_slot();
-  EXPECT_EQ(fabric.take_inbox(NodeId{1}).size(), 1u);
-}
-
-TEST(Fabric, StreamingRunMinMatchesResident) {
-  // Full executions under both allocation policies must be bit-identical
-  // (this is also the ASan driver for the streaming paths: every frame
-  // span is read after the retiring arena was released).
-  const auto topo = Topology::grid(6, 6);
-  const auto readings = testing::default_readings(36);
-  auto run = [&](MemoryMode mode) {
-    NetworkSpec cfg = testing::dense_keys();
-    cfg.memory_mode = mode;
-    Network net(topo, cfg);
-    VmatCoordinator coordinator(&net, nullptr, CoordinatorSpec{});
-    return coordinator.run_min(readings);
-  };
-  const auto resident = run(MemoryMode::kResident);
-  const auto streaming = run(MemoryMode::kStreaming);
-  ASSERT_EQ(resident.kind, OutcomeKind::kResult);
-  EXPECT_EQ(resident.kind, streaming.kind);
-  EXPECT_EQ(resident.trigger, streaming.trigger);
-  EXPECT_EQ(resident.minima, streaming.minima);
-  EXPECT_EQ(resident.data_rounds, streaming.data_rounds);
-  EXPECT_EQ(resident.fabric_bytes, streaming.fabric_bytes);
-  EXPECT_TRUE(resident.metrics == streaming.metrics);
-}
-
 class NetworkTest : public ::testing::Test {
  protected:
   NetworkTest()
@@ -514,6 +440,17 @@ TEST_F(NetworkTest, SecureSendIsReceivedValid) {
   const auto got = net_.receive_valid(NodeId{1});
   ASSERT_EQ(got.size(), 1u);
   EXPECT_EQ(copy_of(got[0].payload), payload);
+}
+
+TEST_F(NetworkTest, NonAdjacentPairHasNoUsableEdgeKey) {
+  // Nodes 0 and 2 of the line 0-1-2-3 are not neighbors, yet their dense
+  // rings share keys: only edges carry edge keys.
+  ASSERT_FALSE(net_.topology().has_edge(NodeId{0}, NodeId{2}));
+  ASSERT_TRUE(net_.keys().edge_key(NodeId{0}, NodeId{2}).has_value());
+  EXPECT_FALSE(net_.usable_edge_key(NodeId{0}, NodeId{2}).has_value());
+  EXPECT_FALSE(net_.usable_edge_key(NodeId{2}, NodeId{0}).has_value());
+  EXPECT_FALSE(net_.send_secure(NodeId{0}, NodeId{2}, Bytes{1}));
+  EXPECT_TRUE(net_.usable_edge_key(NodeId{0}, NodeId{1}).has_value());
 }
 
 TEST_F(NetworkTest, TamperedFrameRejected) {

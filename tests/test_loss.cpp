@@ -4,8 +4,11 @@
 // probability p^k; adequate k restores every protocol guarantee.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "core/coordinator.h"
 #include "helpers.h"
+#include "spec/simulation_spec.h"
 
 namespace vmat {
 namespace {
@@ -52,6 +55,22 @@ TEST(Loss, SetLossValidatesProbability) {
   const Status high = fabric.set_loss(1.0, 1);
   ASSERT_FALSE(high.has_value());
   EXPECT_EQ(high.error().code, ErrorCode::kInvalidArgument);
+}
+
+TEST(Loss, NetworkRejectsZeroRedundancy) {
+  // Zero copies per logical transmission would send nothing. A hand-built
+  // config fails at construction, as an out-of-domain loss does, instead
+  // of running as one copy.
+  EXPECT_THROW(Network(Topology::line(3), lossy_keys(0.0, 0)),
+               std::invalid_argument);
+  EXPECT_THROW(Network(Topology::line(3), lossy_keys(1.5, 1)),
+               std::invalid_argument);
+  // The spec reports the same case as a typed error.
+  SimulationSpec spec;
+  spec.nodes(9).redundancy(0);
+  ASSERT_FALSE(spec.check().has_value());
+  EXPECT_EQ(spec.check().error().code, ErrorCode::kInvalidSpec);
+  EXPECT_THROW(Network{spec}, std::invalid_argument);
 }
 
 TEST(Loss, RedundancyRestoresCorrectMin) {

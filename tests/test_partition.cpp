@@ -57,11 +57,12 @@ TEST(Partition, TreeParticipatingCutVertexIsCaughtInstead) {
   }
   {
     // With a detour the same strategy is pinpointed (no silent loss).
-    Topology topo(7);
+    std::vector<Edge> edges;
     for (std::uint32_t i = 0; i + 1 < 6; ++i)
-      topo.add_edge(NodeId{i}, NodeId{i + 1});
-    topo.add_edge(NodeId{0}, NodeId{6});
-    topo.add_edge(NodeId{6}, NodeId{4});  // detour around node 2
+      edges.push_back({NodeId{i}, NodeId{i + 1}});
+    edges.push_back({NodeId{0}, NodeId{6}});
+    edges.push_back({NodeId{6}, NodeId{4}});  // detour around node 2
+    const Topology topo(7, edges);
     Network net(topo, dense_keys());
     Adversary adv(&net, {NodeId{2}},
                   named_genome(NamedAttack::kSilent).strategy());

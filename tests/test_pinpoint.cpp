@@ -23,17 +23,11 @@ using testing::true_min;
 /// the minimum at node 4 is tree-routed through node 2, while the honest
 /// subgraph stays connected through the detour.
 Topology forced_drop_topology() {
-  Topology t(9);
-  t.add_edge(NodeId{0}, NodeId{1});
-  t.add_edge(NodeId{1}, NodeId{2});
-  t.add_edge(NodeId{2}, NodeId{3});
-  t.add_edge(NodeId{3}, NodeId{4});
-  t.add_edge(NodeId{0}, NodeId{5});
-  t.add_edge(NodeId{5}, NodeId{6});
-  t.add_edge(NodeId{6}, NodeId{7});
-  t.add_edge(NodeId{7}, NodeId{8});
-  t.add_edge(NodeId{8}, NodeId{4});
-  return t;
+  const std::vector<Edge> edges{
+      {NodeId{0}, NodeId{1}}, {NodeId{1}, NodeId{2}}, {NodeId{2}, NodeId{3}},
+      {NodeId{3}, NodeId{4}}, {NodeId{0}, NodeId{5}}, {NodeId{5}, NodeId{6}},
+      {NodeId{6}, NodeId{7}}, {NodeId{7}, NodeId{8}}, {NodeId{8}, NodeId{4}}};
+  return Topology(9, edges);
 }
 
 struct Scenario {

@@ -52,16 +52,11 @@ TEST(Replay, StaleVetoFromPastExecutionIsSpuriousAndPinned) {
   // Path A 0-1-2-3-4 (2 malicious) + detour 0-5-6-7-8-4 so the honest
   // subgraph stays connected. Execution 1: node 2 drops node 4's minimum,
   // overhears the resulting veto. Later executions: it replays that veto.
-  Topology topo(9);
-  topo.add_edge(NodeId{0}, NodeId{1});
-  topo.add_edge(NodeId{1}, NodeId{2});
-  topo.add_edge(NodeId{2}, NodeId{3});
-  topo.add_edge(NodeId{3}, NodeId{4});
-  topo.add_edge(NodeId{0}, NodeId{5});
-  topo.add_edge(NodeId{5}, NodeId{6});
-  topo.add_edge(NodeId{6}, NodeId{7});
-  topo.add_edge(NodeId{7}, NodeId{8});
-  topo.add_edge(NodeId{8}, NodeId{4});
+  const std::vector<Edge> edges{
+      {NodeId{0}, NodeId{1}}, {NodeId{1}, NodeId{2}}, {NodeId{2}, NodeId{3}},
+      {NodeId{3}, NodeId{4}}, {NodeId{0}, NodeId{5}}, {NodeId{5}, NodeId{6}},
+      {NodeId{6}, NodeId{7}}, {NodeId{7}, NodeId{8}}, {NodeId{8}, NodeId{4}}};
+  const Topology topo(9, edges);
 
   Network net(topo, dense_keys());
   const std::unordered_set<NodeId> malicious{NodeId{2}};

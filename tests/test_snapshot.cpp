@@ -349,6 +349,21 @@ TEST(Snapshot, StaleStampedEdgeKeyTableIsWarmedAgain) {
   EXPECT_EQ(slots, edge_slot_table(twin));
 }
 
+TEST(Snapshot, ForeignEdgeKeyTableIsRejected) {
+  // The edge-key table has one slot per directed edge of the topology it
+  // was captured on; a table from another topology must not load (every
+  // lookup indexes it by this topology's directed-edge slots).
+  Network grid(Topology::grid(6, 6), dense_keys());
+  grid.warm_crypto_caches();
+  SnapshotWriter w;
+  grid.snapshot_save(w);
+  const Bytes image = w.take();
+
+  Network line(Topology::line(36), dense_keys());
+  SnapshotReader r(image);
+  EXPECT_THROW(line.snapshot_load(r), std::invalid_argument);
+}
+
 TEST(Snapshot, TwinCapturesAreByteEqual) {
   // Snapshot records carry no padding bytes, so equal states capture equal
   // bytes: the prefix trace events (TRAC), the coordinator's epoch (COOR),

@@ -1,6 +1,10 @@
 // Topology generator and graph-utility tests.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <vector>
+
 #include "keys/predistribution.h"
 #include "sim/topology.h"
 
@@ -34,22 +38,58 @@ TEST(Topology, StarOfChains) {
   EXPECT_TRUE(t.connected());
 }
 
-TEST(Topology, AddEdgeValidation) {
-  Topology t(3);
-  EXPECT_THROW(t.add_edge(NodeId{0}, NodeId{0}), std::invalid_argument);
-  EXPECT_THROW(t.add_edge(NodeId{0}, NodeId{3}), std::out_of_range);
-  t.add_edge(NodeId{0}, NodeId{1});
-  t.add_edge(NodeId{0}, NodeId{1});  // idempotent
-  EXPECT_EQ(t.edge_count(), 1u);
+TEST(Topology, EdgeListValidation) {
+  const auto build = [](std::uint32_t n, std::vector<Edge> edges) {
+    return Topology(n, edges);
+  };
+  EXPECT_THROW(build(3, {{NodeId{0}, NodeId{0}}}), std::invalid_argument);
+  EXPECT_THROW(build(3, {{NodeId{0}, NodeId{3}}}), std::out_of_range);
+  EXPECT_THROW(build(3, {{NodeId{3}, NodeId{0}}}), std::out_of_range);
+  EXPECT_THROW(build(0, {}), std::invalid_argument);
+  // A repeated edge throws in either orientation.
+  EXPECT_THROW(build(3, {{NodeId{0}, NodeId{1}}, {NodeId{0}, NodeId{1}}}),
+               std::invalid_argument);
+  EXPECT_THROW(build(3, {{NodeId{0}, NodeId{1}}, {NodeId{1}, NodeId{2}},
+                         {NodeId{1}, NodeId{0}}}),
+               std::invalid_argument);
+  const Topology edgeless = build(3, {});
+  EXPECT_EQ(edgeless.edge_count(), 0u);
+  EXPECT_TRUE(edgeless.neighbors(NodeId{2}).empty());
+  EXPECT_EQ(build(3, {{NodeId{0}, NodeId{1}}}).edge_count(), 1u);
+}
+
+TEST(Topology, EdgeListKeepsListOrderInEveryRow) {
+  // Edge {a, b} appends b to a's row and a to b's, in list order.
+  const std::vector<Edge> edges{{NodeId{2}, NodeId{0}}, {NodeId{0}, NodeId{3}},
+                                {NodeId{1}, NodeId{2}}, {NodeId{0}, NodeId{1}},
+                                {NodeId{3}, NodeId{2}}};
+  const Topology t(4, edges);
+  const auto row = [&t](std::uint32_t id) {
+    const auto span = t.neighbors(NodeId{id});
+    std::vector<std::uint32_t> ids;
+    for (const NodeId v : span) ids.push_back(v.value);
+    return ids;
+  };
+  EXPECT_EQ(row(0), (std::vector<std::uint32_t>{2, 3, 1}));
+  EXPECT_EQ(row(1), (std::vector<std::uint32_t>{2, 0}));
+  EXPECT_EQ(row(2), (std::vector<std::uint32_t>{0, 1, 3}));
+  EXPECT_EQ(row(3), (std::vector<std::uint32_t>{0, 2}));
+  EXPECT_EQ(t.edge_count(), 5u);
+  EXPECT_EQ(t.directed_edge_count(), 10u);
+  // A directed edge's slot is its position in the flat row array.
+  EXPECT_EQ(t.directed_edge_slot(NodeId{0}, NodeId{1}), 2u);
+  EXPECT_EQ(t.directed_edge_slot(NodeId{2}, NodeId{3}), 3u + 2u + 2u);
+  EXPECT_EQ(t.directed_edge_slot(NodeId{1}, NodeId{3}),
+            Topology::kNoDirectedEdge);
+  EXPECT_TRUE(t.has_edge(NodeId{3}, NodeId{2}));
+  EXPECT_FALSE(t.has_edge(NodeId{1}, NodeId{3}));
 }
 
 TEST(Topology, ExclusionAffectsDepthAndConnectivity) {
   // 0-1-2-3 plus shortcut 0-3: excluding 1 leaves 0-3-2.
-  Topology t(4);
-  t.add_edge(NodeId{0}, NodeId{1});
-  t.add_edge(NodeId{1}, NodeId{2});
-  t.add_edge(NodeId{2}, NodeId{3});
-  t.add_edge(NodeId{0}, NodeId{3});
+  const std::vector<Edge> edges{{NodeId{0}, NodeId{1}}, {NodeId{1}, NodeId{2}},
+                                {NodeId{2}, NodeId{3}}, {NodeId{0}, NodeId{3}}};
+  const Topology t(4, edges);
   EXPECT_EQ(t.depth(), 2);
   const std::unordered_set<NodeId> excl{NodeId{3}};
   EXPECT_EQ(t.depth(excl), 2);
@@ -70,6 +110,41 @@ TEST(Topology, RandomGeometricDeterministicPerSeed) {
   EXPECT_EQ(a.edge_count(), b.edge_count());
   for (std::uint32_t i = 0; i < 80; ++i)
     EXPECT_EQ(a.degree(NodeId{i}), b.degree(NodeId{i}));
+}
+
+TEST(Topology, RandomGeometricCellsMatchesPairwise) {
+  // random_geometric() scans pairs below 2,048 nodes and buckets cells at
+  // and above; both must produce the same rows, in the same order.
+  struct Case {
+    std::uint32_t n;
+    double radius;
+    std::uint64_t seed;
+  };
+  const double retry_radius = 1.8 / std::sqrt(120.0);
+  const Case cases[] = {{50, 0.6, 3},
+                        {80, 0.2, 7},
+                        {120, retry_radius, 5},
+                        {150, 0.16, 42},
+                        {1000, Topology::connected_radius(1000), 1},
+                        {2000, 0.06, 11}};
+  for (const Case& c : cases) {
+    const auto pairwise = Topology::random_geometric(c.n, c.radius, c.seed);
+    const auto cells = Topology::random_geometric_cells(c.n, c.radius, c.seed);
+    ASSERT_EQ(cells.node_count(), pairwise.node_count());
+    ASSERT_EQ(cells.edge_count(), pairwise.edge_count()) << "n " << c.n;
+    for (std::uint32_t id = 0; id < c.n; ++id) {
+      const auto a = pairwise.neighbors(NodeId{id});
+      const auto b = cells.neighbors(NodeId{id});
+      EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
+          << "n " << c.n << " seed " << c.seed << " row " << id;
+    }
+  }
+  // Seed 5 at n = 120 is disconnected on its first draw, so the case above
+  // also compares the retry path.
+  EXPECT_THROW((void)Topology::random_geometric(120, retry_radius, 5, 1),
+               std::runtime_error);
+  EXPECT_THROW((void)Topology::random_geometric_cells(120, retry_radius, 5, 1),
+               std::runtime_error);
 }
 
 TEST(Topology, RandomGeometricThrowsWhenImpossible) {
@@ -93,8 +168,8 @@ TEST(Topology, SecureSubgraphKeepsOnlyKeyedEdges) {
 }
 
 TEST(Topology, BfsDepthUnreachableIsNoLevel) {
-  Topology t(3);
-  t.add_edge(NodeId{0}, NodeId{1});
+  const std::vector<Edge> edges{{NodeId{0}, NodeId{1}}};
+  const Topology t(3, edges);
   const auto depth = t.bfs_depth();
   EXPECT_EQ(depth[2], kNoLevel);
   EXPECT_FALSE(t.connected());
